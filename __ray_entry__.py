@@ -4030,6 +4030,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # DuckDB's last-writer-wins over the same derivation
         return _build_sql_lake(sf, "replay").final_table()
 
+    def cdc_replay_obj(sf):
+        # cdc_replay_sql's lake over the object-store exchange with
+        # salted sub-buckets: same SQL oracle, other transport
+        return _build_sql_lake(sf, "replay_obj", transport="object",
+                               num_salts=4).final_table()
+
     def debezium_replay(sf):
         # the wire-format half of the flagship pipeline: Debezium JSON
         # envelopes (built from `events` by the same SQL-mirrorable rule
@@ -5116,6 +5122,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dsir_top_affinity": dsir_top_affinity,
         "cdc_replay": cdc_replay,
         "cdc_replay_sql": cdc_replay_sql,
+        "cdc_replay_obj": cdc_replay_obj,
         "cdc_multi_writer": cdc_multi_writer,
         "debezium_replay": debezium_replay,
         "fold_patches_events": fold_patches_events,
@@ -5249,7 +5256,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    return {
+    sql = {
         "collect_users_by_type": """
             SELECT event_type,
                    CAST(list_sort(list(user_id)) AS VARCHAR) AS users,
@@ -8004,3 +8011,5 @@ def oracle_sql() -> dict[str, str]:
         # twin is cdc_replay_sql, which derives the log from `events` so
         # DuckDB can replay it independently.
     }
+    sql["cdc_replay_obj"] = sql["cdc_replay_sql"]
+    return sql

@@ -21,26 +21,24 @@ catalog, libtenzir/src/active_partition.cpp:103-187)::
 Dataflow per epoch (one bounded chunk of the binlog)::
 
     read changes (Dataset, arrival order ≠ lsn order)
-      → map_batches(_FragmentWriter)       # conform to registry schema,
-        #   add _part = crc32(conv_id) % P, PARTIAL LWW reduce within the
-        #   batch (combiner — first line of skew defense), then write the
-        #   batch split into per-partition Arrow-IPC fragments: a
-        #   filesystem-mediated exchange (page cache locally, shared
-        #   storage on a cluster) that keeps both sides embarrassingly
-        #   parallel — measured faster than Ray's sort/push shuffles here,
-        #   and retry-safe because duplicate fragments collapse under LWW
-      [→ map_batches(_SaltReducer)         # optional salted sub-partition
-        #   pre-reduce, one task per (part, salt) (north rule). With
-        #   num_salts="auto" the gate is PER PARTITION: only partitions
-        #   whose recorded volume crossed the threshold last epoch take
-        #   the salted layout; cold partitions in the SAME epoch keep the
-        #   packed-IPC fast path (no tiny-file overhead where the
-        #   pre-reduce can't pay for itself)]
-      → map_batches(_PartitionReducer)     # one task per touched
-        #   partition: read its fragments, merge with the partition's live
-        #   base rows, final LWW by lsn, drop deletes, sort
+      → Exchange.run(transform=_NormalizeCombine)   # stages/exchange.py:
+        #   conform to the registry schema, PARTIAL LWW reduce within the
+        #   batch (combiner — first line of skew defense), tag each row
+        #   with its bucket, then hand the batch to the one packed
+        #   exchange (fs staging files or the object store). Partition k
+        #   = crc32(conv_id) % P owns buckets [k*S, k*S+S); a cold
+        #   partition uses only bucket k*S, a salted hot one spreads over
+        #   all S by lsn % S. Retry-safe: the exchange index only names
+        #   successful attempts' outputs.
+      [→ one Ray task per salted sub-bucket]        # optional salted
+        #   pre-reduce (north rule): LWW-reduce one sub-bucket. With
+        #   num_salts="auto" only the partitions whose recorded volume
+        #   crossed the threshold last epoch are salted.
+      → one Ray task per touched partition          # _PartitionReducer:
+        #   read its bucket (or take its salt pre-reduce outputs), merge
+        #   with the partition's live base rows, final LWW by lsn, sort
         #   (conv_id, turn_idx), write the new partition file, emit a
-        #   1-row lineage record
+        #   lineage record
       → driver collects the tiny lineage records → atomic manifest commit
 
 Scale notes: P (num_partitions) is chosen so one partition's live rows
@@ -76,7 +74,6 @@ from tenzir_ray.cdc.manifest import (
     Manifest,
 )
 from tenzir_ray.cdc.registry import SchemaRegistry
-from tenzir_ray.stages.exchange import pack_by_partition
 
 META_COLS = ("lsn", "op")
 KEY_COLS = ("conv_id", "turn_idx")
@@ -116,12 +113,6 @@ def stable_part_of_uniques(uniq: list[str], num_partitions: int) -> np.ndarray:
     return (h % num_partitions).astype(np.int32)
 
 
-def stable_part(conv: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Row-wise partition assignment (numpy-object fallback path)."""
-    uniq, inv = np.unique(np.asarray(conv, dtype=object), return_inverse=True)
-    return stable_part_of_uniques(list(uniq), num_partitions)[inv]
-
-
 def _lww_mask(lsn: np.ndarray, conv: np.ndarray, turn: np.ndarray) -> np.ndarray:
     """Boolean mask selecting, per (conv, turn) key, the single row with the
     greatest lsn (ties → first occurrence; lsns are unique in a log).
@@ -144,18 +135,30 @@ def _lww_mask(lsn: np.ndarray, conv: np.ndarray, turn: np.ndarray) -> np.ndarray
     return mask
 
 
-class _NormalizeCombine:
-    """map_batches stage: conform payload to the registry schema, attach
-    ``_part`` (and optional ``_salt``), partial-LWW-reduce the batch."""
+#: exchange column carrying each stage-1 row's bucket (see _NormalizeCombine)
+BUCKET_COL = "_bucket"
 
-    def __init__(self, registry_json: str, num_partitions: int, num_salts: int = 0,
-                 salt_parts: "frozenset[int] | None" = None):
+
+def _bucket_of(batch: pa.Table, num_buckets: int) -> np.ndarray:
+    """The lake's exchange bucket function: the bucket _NormalizeCombine
+    already derived from the persisted partition function."""
+    return batch.column(BUCKET_COL).to_numpy(zero_copy_only=False)
+
+
+class _NormalizeCombine:
+    """Stage-1 exchange transform: conform payload to the registry schema,
+    partial-LWW-reduce the batch, and attach ``_bucket``: partition
+    ``k = crc32(conv_id) % P`` times ``num_salts``, plus ``lsn % num_salts``
+    when ``k`` is salted."""
+
+    def __init__(self, registry_json: str, num_partitions: int, num_salts: int,
+                 salt_parts: "frozenset[int] | None"):
         self.registry = SchemaRegistry.from_json(registry_json)
         self.num_partitions = num_partitions
-        self.num_salts = num_salts
+        self.num_salts = num_salts  # ≥ 1
         # None = salt every partition (explicit num_salts>1); a set = salt
         # ONLY these partitions (per-partition auto gate) — cold partitions
-        # keep the packed-IPC fast path
+        # keep a single bucket
         self.salt_parts = salt_parts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -177,12 +180,14 @@ class _NormalizeCombine:
         out = out.append_column("lsn", pa.array(lsn[idx], pa.int64()))
         out = out.append_column("op", op_col)
         part_of_uniq = stable_part_of_uniques(uniq, self.num_partitions)
-        out = out.append_column("_part", pa.array(part_of_uniq[codes[idx]]))
+        part = part_of_uniq[codes[idx]]
+        bucket = part * np.int32(self.num_salts)
         if self.num_salts > 1:
-            out = out.append_column(
-                "_salt", pa.array((lsn[idx] % self.num_salts).astype(np.int32))
-            )
-        return out
+            salt = (lsn[idx] % self.num_salts).astype(np.int32)
+            if self.salt_parts is not None:
+                salt[~np.isin(part, list(self.salt_parts))] = 0
+            bucket += salt
+        return out.append_column(BUCKET_COL, pa.array(bucket))
 
 
 def _lww_reduce_table(tbl: pa.Table) -> pa.Table:
@@ -250,177 +255,6 @@ def _merge_live(tables: list[pa.Table]) -> pa.Table:
         zero_copy_only=False
     )
     return _sorted_by_key(merged.filter(pa.array(alive)))
-
-
-def _write_fragment(tbl: pa.Table, dest: str) -> None:
-    """Atomic Arrow-IPC fragment write (lz4; transient exchange files)."""
-    import pyarrow.feather as feather
-
-    os.makedirs(os.path.dirname(dest), exist_ok=True)
-    tmp = dest + ".tmp"
-    feather.write_feather(tbl, tmp, compression="lz4")
-    os.replace(tmp, dest)
-
-
-def _read_fragments(paths: list[str]) -> pa.Table | None:
-    import pyarrow.feather as feather
-
-    tables = [feather.read_table(p) for p in paths]
-    if not tables:
-        return None
-    return pa.concat_tables(tables, promote_options="permissive")
-
-
-class _FragmentWriter(_NormalizeCombine):
-    """Stage 1 (map-side exchange): normalize + combine the batch, split it
-    by ``_part``, and write the whole batch as ONE packed Arrow-IPC file
-    with one record batch per partition present.
-
-    This replaces Ray's sort-based shuffle with a filesystem-mediated
-    exchange (page cache locally, shared storage on a cluster) — both
-    stages stay embarrassingly parallel and measured 2-3x faster than
-    either Ray shuffle backend for this partition-keyed pattern. Packing
-    avoids blocks×partitions tiny-file creates (64k files → 3-5s of pure
-    filesystem overhead per 16M-event epoch); the emitted stats rows
-    (part, rows, file, batch_idx) ARE the exchange index — the driver
-    hands each reducer exactly the (file, batch) pairs for its partition,
-    so orphan files from retried tasks are never even opened.
-
-    Salted mode (num_salts>1) writes the one-file-per-(part,salt) layout —
-    the salt pre-reduce stage globs per salt. With ``salt_parts`` set,
-    ONLY those (hot) partitions take the salted layout; every cold
-    partition still rides the packed-IPC fast path in the same batch, so
-    the tiny-file overhead is paid exactly where the pre-reduce pays for
-    itself.
-    """
-
-    def __init__(self, staging: str, registry_json: str, num_partitions: int,
-                 num_salts: int = 0,
-                 salt_parts: "frozenset[int] | None" = None):
-        super().__init__(registry_json, num_partitions, num_salts, salt_parts)
-        self.staging = staging
-
-    def _write_salted(self, k: int, frag: pa.Table) -> None:
-        salts = frag.column("_salt").to_numpy(zero_copy_only=False)
-        sorder = np.argsort(salts, kind="stable")
-        ssal = salts[sorder]
-        sb = np.r_[np.flatnonzero(np.r_[True, ssal[1:] != ssal[:-1]]), len(ssal)]
-        sfrag = frag.take(pa.array(sorder))
-        for j in range(len(sb) - 1):
-            s = int(ssal[sb[j]])
-            piece = sfrag.slice(sb[j], sb[j + 1] - sb[j]).drop_columns(["_salt"])
-            _write_fragment(
-                piece,
-                os.path.join(
-                    self.staging, f"part={k}",
-                    f"s{s:03d}-{uuid.uuid4().hex[:12]}.arrow",
-                ),
-            )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = super().__call__(batch)
-        part = out.column("_part").to_numpy(zero_copy_only=False)
-        order = np.argsort(part, kind="stable")
-        spart = part[order]
-        bounds = np.flatnonzero(np.r_[True, spart[1:] != spart[:-1]])
-        bounds = np.r_[bounds, len(spart)]
-        sorted_tbl = out.take(pa.array(order)) if len(order) else out
-        stats_part, stats_rows, stats_file, stats_bidx = [], [], [], []
-
-        packed: list[tuple[int, int, int]] = []  # (part, lo, hi) cold slices
-        for i in range(len(bounds) - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            k = int(spart[lo])
-            if self.num_salts > 1 and (
-                self.salt_parts is None or k in self.salt_parts
-            ):
-                self._write_salted(
-                    k, sorted_tbl.slice(lo, hi - lo).drop_columns(["_part"])
-                )
-                stats_part.append(k)
-                stats_rows.append(hi - lo)
-                stats_file.append("")
-                stats_bidx.append(-1)
-            else:
-                packed.append((k, lo, hi))
-
-        if packed:
-            rel = f"packed-{uuid.uuid4().hex[:12]}.arrow"
-            path = os.path.join(self.staging, rel)
-            os.makedirs(self.staging, exist_ok=True)
-            tmp = path + ".tmp"
-            drop = ["_part"] + (["_salt"] if "_salt" in sorted_tbl.column_names else [])
-            body = sorted_tbl.drop_columns(drop).combine_chunks()
-            # uncompressed on purpose: fragments are transient and live on
-            # tmpfs/page-cache (shared storage on a cluster) — lz4 costs
-            # encode+decode CPU on both exchange sides for no lasting win
-            opts = pa.ipc.IpcWriteOptions()
-            with pa.OSFile(tmp, "wb") as sink:
-                with pa.ipc.new_file(sink, body.schema, options=opts) as w:
-                    for bidx, (k, lo, hi) in enumerate(packed):
-                        # one record batch per partition slice, in order —
-                        # batch index bidx is the reducer's lookup key
-                        w.write_table(body.slice(lo, hi - lo), max_chunksize=hi - lo)
-                        stats_part.append(k)
-                        stats_rows.append(hi - lo)
-                        stats_file.append(rel)
-                        stats_bidx.append(bidx)
-            os.replace(tmp, path)
-
-        return pa.table(
-            {
-                "part": pa.array(stats_part, pa.int32()),
-                "rows": pa.array(stats_rows, pa.int64()),
-                "file": pa.array(stats_file, pa.string()),
-                "batch_idx": pa.array(stats_bidx, pa.int32()),
-            }
-        )
-
-
-class _SaltReducer:
-    """Salted sub-partition pre-reduce (north rule): one task per
-    (partition, salt) merges that salt's fragments with a partial LWW
-    reduce and writes a single reduced fragment for the final reducer."""
-
-    __name__ = "salt_reduce"
-
-    def __init__(self, staging: str, reduced_dir: str):
-        self.staging = staging
-        self.reduced_dir = reduced_dir
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import glob as globmod
-
-        done = []
-        for row in batch.to_pylist():
-            k, s = int(row["part"]), int(row["salt"])
-            paths = sorted(
-                globmod.glob(os.path.join(self.staging, f"part={k}", f"s{s:03d}-*.arrow"))
-            )
-            tbl = _read_fragments(paths)
-            if tbl is not None and tbl.num_rows:
-                reduced = _lww_reduce_table(tbl)
-                _write_fragment(
-                    reduced,
-                    os.path.join(
-                        self.reduced_dir, f"part={k}",
-                        f"frag-s{s:03d}-{uuid.uuid4().hex[:12]}.arrow",
-                    ),
-                )
-            done.append({"part": k, "salt": s})
-        return pa.Table.from_pylist(done)
-
-
-def _pack_block_cdc(block: pa.Table, registry_json: str,
-                    num_partitions: int) -> list:
-    """Object-store stage 1: normalize + combine one block, slice it by
-    ``_part``; returns ``[stats, tbl_p0, tbl_p1, ...]`` (None for
-    partitions absent from the block). Run with
-    ``num_returns=P+1`` so each partition slice becomes its OWN object —
-    reducers fetch exactly their partition, nothing else."""
-    out = _NormalizeCombine(registry_json, num_partitions, 0)(block)
-    part = out.column("_part").to_numpy(zero_copy_only=False)
-    return pack_by_partition(out, part, num_partitions, drop=["_part"])
 
 
 #: per-file key bloom: bits are sized at ~10 per distinct conv (≈1% false
@@ -667,76 +501,40 @@ def _zorder_argsort(tbl: pa.Table, cols: list[str]) -> np.ndarray:
     return np.argsort(z, kind="stable")
 
 
+def _salt_reduce(reducer: "_PartitionReducer", bucket: int) -> pa.Table:
+    """Stage 1.5 task: LWW-reduce one salted sub-bucket of a hot partition."""
+    return _lww_reduce_table(reducer.read([bucket]))
+
+
+def _reduce_partition(reducer: "_PartitionReducer", part: int, bucket: int,
+                      *pre: pa.Table) -> dict:
+    """Stage 2 task (both transports): reduce ``part`` from its exchange
+    bucket, or from its stage-1.5 outputs ``pre`` when it was salted."""
+    raw = (pa.concat_tables(pre, promote_options="permissive") if pre
+           else reducer.read([bucket]))
+    return reducer._reduce_one(part, raw)
+
+
 class _PartitionReducer:
-    """Stage 2: one task per touched partition — read the partition's
-    exchange fragments, merge with its live base rows, final LWW by lsn,
-    drop deletes, write the new partition file, return a 1-row lineage
-    record. Runs as map_batches over tiny {part} rows (batch_size=1), so
-    every partition reduces in parallel with no shuffle machinery."""
+    """Stage 2: one task per touched partition — take the partition's
+    exchanged changes, merge with its live base rows, final LWW by lsn,
+    write the new partition file, return a lineage record. ``read`` is
+    the exchange's bucket reader (:meth:`Exchange.reader`)."""
 
-    __name__ = "partition_reduce"
-
-    def __init__(self, root: str, staging: str, registry_json: str, epoch_id: str,
+    def __init__(self, root: str, read, registry_json: str, epoch_id: str,
                  base_files: dict[int, list[str]], payload_cols: list[str],
                  modes: dict[int, str] | None = None,
-                 frag_index: dict[int, list] | None = None,
-                 salted_dir: str | None = None,
                  change_feed: bool = False,
                  token_cols: "tuple | list" = ()):
         self.token_cols = tuple(token_cols)
         self.change_feed = change_feed
         self.root = root
-        self.staging = staging
+        self.read = read
         self.registry = SchemaRegistry.from_json(registry_json)
         self.epoch_id = epoch_id
         self.base_files = base_files  # part -> list of live file relpaths
         self.payload_cols = payload_cols
         self.modes = modes or {}     # part -> "full" | "delta"
-        # packed-exchange index: part -> [(packed_file_rel, batch_idx)];
-        # built from the SUCCESSFUL stage-1 attempts' stats, so orphan
-        # files from retried tasks are never even opened
-        self.frag_index = frag_index
-        # where salted partitions' pre-reduced fragments live (mixed mode:
-        # a partition absent from frag_index was salted → glob here)
-        self.salted_dir = salted_dir
-
-    def _read_packed(self, part: int) -> pa.Table | None:
-        entries = self.frag_index.get(part, [])
-        by_file: dict[str, list[int]] = {}
-        for rel, bidx in entries:
-            by_file.setdefault(rel, []).append(bidx)
-        batches = []
-        for rel, idxs in by_file.items():
-            # memory-map: batches reference page-cache bytes zero-copy
-            # instead of read()-copying each tiny slice
-            with pa.memory_map(os.path.join(self.staging, rel), "rb") as f:
-                reader = pa.ipc.open_file(f)
-                for i in idxs:
-                    batches.append(reader.get_batch(i))
-        if not batches:
-            return None
-        return pa.Table.from_batches(batches)
-
-    def _load_raw(self, part: int) -> pa.Table:
-        import glob as globmod
-
-        if self.frag_index is not None and part in self.frag_index:
-            raw = self._read_packed(part)
-        else:
-            d = self.salted_dir or self.staging
-            paths = sorted(
-                globmod.glob(os.path.join(d, f"part={part}", "*.arrow"))
-            )
-            raw = _read_fragments(paths)
-        assert raw is not None, f"no fragments for partition {part}"
-        return raw
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_rows = []
-        for row in batch.to_pylist():
-            part = int(row["part"])
-            out_rows.append(self._reduce_one(part, self._load_raw(part)))
-        return pa.Table.from_pylist(out_rows)
 
     def _preimage_feed(self, net: pa.Table,
                        base_tables: list[pa.Table]) -> pa.Table:
@@ -1059,9 +857,9 @@ class LakeTable:
         ``TENZIR_RAY_EXCHANGE_TRANSPORT`` env var, else "fs"):
         "fs" = packed-IPC staging files (page cache locally, shared
         storage on a cluster — fastest where fast shared POSIX storage
-        exists); "object" = partition slices ride Ray's object store
+        exists); "object" = bucket segments ride Ray's object store
         (plasma moves bytes node-to-node and spills — no shared-FS
-        requirement; salted mode is fs-only).
+        requirement). Both run the one :class:`Exchange`, salted or not.
 
         ``change_feed=True`` additionally persists each partition's NET
         applied changes (intra-epoch LWW winners incl. delete tombstones)
@@ -1088,33 +886,24 @@ class LakeTable:
         if isinstance(changes, pa.Table):
             changes = ray.data.from_arrow(changes)
 
-        from tenzir_ray.stages.exchange import default_transport
+        from tenzir_ray.stages.exchange import Exchange, default_transport
 
         transport = transport or default_transport()
         if transport not in ("fs", "object"):
             raise ValueError(f"unknown exchange transport {transport!r}")
         salt_parts: "frozenset[int] | None" = None  # None = salt every part
         if num_salts == "auto":
-            # Salting must be decided BEFORE stage 1 (the FragmentWriter
-            # tags `_salt` at write time), but skew is only measured BY
+            # Salting must be decided BEFORE stage 1 (the transform tags
+            # each row's sub-bucket), but skew is only measured BY
             # stage 1 — so auto gates on the PREVIOUS epoch's recorded
             # exchange stats: CDC epochs are temporally homogeneous, a
             # conversation hot this epoch was almost surely hot last
             # epoch. First epoch (no history) runs unsalted — the
             # per-batch LWW combiner bounds the damage meanwhile.
             # The gate is PER PARTITION: only partitions whose recorded
-            # volume crossed the threshold take the salted layout; cold
-            # partitions keep the packed-IPC fast path in the same epoch.
-            if transport == "object":
-                num_salts = 0
-            else:
-                num_salts, salt_parts = self._auto_salt_plan()
-        if transport == "object" and num_salts > 1:
-            raise ValueError(
-                "salted pre-reduce requires the fs transport (the salt "
-                "stage globs staging files); the per-batch combiner "
-                "already absorbs skew on the object path"
-            )
+            # volume crossed the threshold are salted; cold partitions
+            # keep a single bucket in the same epoch.
+            num_salts, salt_parts = self._auto_salt_plan()
         # empty epochs still record zeroed exchange stats so the auto
         # gate un-salts after a table goes quiet
         empty_meta = {
@@ -1150,177 +939,117 @@ class LakeTable:
         reg_json = self.registry.to_json()
         payload_cols = list(self.registry.schema.names)
 
-        # -- stage 1: normalize + per-batch LWW combine, then write the
-        #    batch's rows as per-partition Arrow-IPC fragments (the
-        #    filesystem-mediated exchange; see _FragmentWriter) ------------
-        import glob as globmod
+        # -- stage 1: normalize + per-batch LWW combine, then the packed
+        #    exchange (stages/exchange.py) over either transport --------
         import shutil
 
         import ray as ray_core
 
-        staging = os.path.join(self.root, "_staging", epoch_id)
-        shutil.rmtree(staging, ignore_errors=True)  # stale crashed attempt
-        import time as _time
-
-        _t0 = _time.perf_counter()
-        obj_index: dict[int, list] | None = None
-        frag_index: dict[int, list] | None = None
-        if transport == "object":
-            # stage 1 over the object store (run_exchange_obj's shape with
-            # the lake's own partition function): one pack task per block,
-            # num_returns=P+1 so each partition slice is its own object
-            ds1 = changes
-            if batch_size is not None:
-                ds1 = ds1.map_batches(
-                    lambda b: b, batch_format="pyarrow", batch_size=batch_size
-                )
-            block_refs = ds1.to_arrow_refs()
-            pack = ray_core.remote(_pack_block_cdc)
-            outs = [
-                pack.options(num_returns=self.num_partitions + 1).remote(
-                    br, reg_json, self.num_partitions
-                )
-                for br in block_refs
-            ]
-            obj_index = {}
-            frag_rows: dict[int, int] = {}
-            # one batched get, not a per-task round-trip loop
-            all_stats = ray_core.get([refs[0] for refs in outs])
-            for refs, stats in zip(outs, all_stats):
-                for k, (rows, _nb) in stats.items():
-                    obj_index.setdefault(int(k), []).append(refs[1 + int(k)])
-                    frag_rows[int(k)] = frag_rows.get(int(k), 0) + int(rows)
-        else:
-            stage1 = changes.map_batches(
-                _FragmentWriter(staging, reg_json, self.num_partitions,
-                                num_salts, salt_parts),
-                batch_format="pyarrow",
+        S = max(1, int(num_salts))
+        # one staging dir per attempt: a concurrent writer of the same
+        # epoch id stages apart, and a crashed attempt's dir is gc()'s
+        staging = os.path.join(self.root, "_staging",
+                               f"{epoch_id}-{uuid.uuid4().hex[:12]}")
+        try:
+            _t0 = time.perf_counter()
+            ex = Exchange("cdc", transport, staging=staging)
+            index, _, bucket_rows = ex.run(
+                changes, _bucket_of, self.num_partitions * S, "cdc",
+                transform=_NormalizeCombine(reg_json, self.num_partitions,
+                                            S, salt_parts),
                 batch_size=batch_size,
-            ).to_pandas()  # barrier: all fragments on disk before reducing
-            frag_rows = (
-                stage1.groupby("part")["rows"].sum().to_dict() if len(stage1) else {}
             )
-            # packed-exchange index over the COLD partitions (all of them
-            # when unsalted; salted partitions emit batch_idx=-1 stats rows)
-            frag_index = {}
-            if len(stage1):
-                for part_v, file_v, bidx_v in zip(
-                    stage1["part"], stage1["file"], stage1["batch_idx"]
-                ):
-                    if int(bidx_v) >= 0:
-                        frag_index.setdefault(int(part_v), []).append(
-                            (file_v, int(bidx_v)))
+            # post-combine change rows per partition
+            frag_rows: dict[int, int] = {}
+            for b, n in bucket_rows.items():
+                frag_rows[b // S] = frag_rows.get(b // S, 0) + n
+            touched = sorted(frag_rows)
+            salted = {k for k in touched if S > 1 and (
+                salt_parts is None or k in salt_parts)}
+            if not touched:
+                # zero-row epoch (e.g. an empty binlog segment): commit an
+                # empty lineage record so resume never re-crashes on it
+                self.manifest.commit_epoch(epoch_id, -1, -1, {},
+                                           meta=empty_meta,
+                                           registry_json=reg_json)
+                return {"epoch_id": epoch_id, "lsn_min": -1, "lsn_max": -1,
+                        "partitions_touched": 0, "rows_live": 0,
+                        "num_salts": int(num_salts)}
+            base_files = {
+                int(k): info["files"]
+                for k, info in self.manifest.partitions.items()
+            }
 
-        # -- optional stage 1.5: salted sub-partition pre-reduce ----------
-        # (only the salted partitions have part=*/ dirs in staging; cold
-        # partitions live in packed-*.arrow files and skip this stage)
-        reduced_dir: str | None = None
-        salted_touched: set[int] = set()
-        if num_salts > 1:
-            import ray.data as rd
-
-            reduced_dir = staging + "-reduced"
-            shutil.rmtree(reduced_dir, ignore_errors=True)
-            parts_with_salts = []
-            for pdir in globmod.glob(os.path.join(staging, "part=*")):
-                k = int(os.path.basename(pdir).split("=")[1])
-                salts = {
-                    int(os.path.basename(f).split("-")[0][1:])
-                    for f in globmod.glob(os.path.join(pdir, "s*-*.arrow"))
-                }
-                salted_touched.add(k)
-                parts_with_salts += [{"part": k, "salt": s} for s in sorted(salts)]
-            if parts_with_salts:
-                rd.from_items(parts_with_salts).map_batches(
-                    _SaltReducer(staging, reduced_dir),
-                    batch_format="pyarrow",
-                    batch_size=1,
-                ).count()
-
-        # -- stage 2: one parallel task per touched partition -------------
-        if obj_index is not None:
-            touched = sorted(obj_index)
-        else:
-            touched = sorted(set(frag_index) | salted_touched)
-        if not touched:
-            # zero-row epoch (e.g. an empty binlog segment): commit an
-            # empty lineage record so resume never re-crashes on it
-            self.manifest.commit_epoch(epoch_id, -1, -1, {}, meta=empty_meta,
-                                       registry_json=reg_json)
-            shutil.rmtree(staging, ignore_errors=True)
-            return {"epoch_id": epoch_id, "lsn_min": -1, "lsn_max": -1,
-                    "partitions_touched": 0, "rows_live": 0,
-                    "num_salts": int(num_salts)}
-        base_files = {
-            int(k): info["files"] for k, info in self.manifest.partitions.items()
-        }
-
-        # delta vs full rewrite per partition (merge-on-read, the fix for
-        # merge-on-write amplification in incremental ingest): small change
-        # volume against a large base → append a delta file instead of
-        # rewriting; accumulated deltas force compaction at the threshold
-        modes: dict[int, str] = {}
-        if append_only:
+            # delta vs full rewrite per partition (merge-on-read, the fix
+            # for merge-on-write amplification in incremental ingest):
+            # small change volume against a large base → append a delta
+            # file instead of rewriting; accumulated deltas force
+            # compaction at the threshold
+            modes: dict[int, str] = {}
+            if append_only:
+                if change_feed == "preimages":
+                    raise ValueError(
+                        "append_only is incompatible with change_feed="
+                        "'preimages' (preimages require the base read; an "
+                        "append-only epoch by contract replaces nothing)")
+                modes = {k: "append" for k in touched}
             if change_feed == "preimages":
-                raise ValueError(
-                    "append_only is incompatible with change_feed="
-                    "'preimages' (preimages require the base read; an "
-                    "append-only epoch by contract replaces nothing)")
-            modes = {k: "append" for k in touched}
-        if change_feed == "preimages":
-            delta_ratio = 0  # preimages need the base read (see docstring)
-        if not append_only and delta_ratio > 0:
-            for k in touched:
-                info = self.manifest.partitions.get(str(k))
-                if info is None:
-                    continue  # no base yet → full
-                base_rows = info.get("rows", 0) or 0
-                pend = info.get("delta_rows", 0) or 0
-                ch = frag_rows.get(k, 0)
-                if base_rows > 0 and ch < delta_ratio * base_rows and (
-                    pend + ch
-                ) < 2 * delta_ratio * base_rows:
-                    modes[k] = "delta"
+                delta_ratio = 0  # preimages need the base read (docstring)
+            if not append_only and delta_ratio > 0:
+                for k in touched:
+                    info = self.manifest.partitions.get(str(k))
+                    if info is None:
+                        continue  # no base yet → full
+                    base_rows = info.get("rows", 0) or 0
+                    pend = info.get("delta_rows", 0) or 0
+                    ch = frag_rows.get(k, 0)
+                    if base_rows > 0 and ch < delta_ratio * base_rows and (
+                        pend + ch
+                    ) < 2 * delta_ratio * base_rows:
+                        modes[k] = "delta"
 
-        reducer = _PartitionReducer(
-            self.root, staging, reg_json, epoch_id, base_files, payload_cols,
-            modes=modes,
-            frag_index=frag_index,
-            salted_dir=reduced_dir,
-            change_feed=change_feed,
-            token_cols=self._token_bloom_cols,
-        )
-        # stage 2 runs as plain Ray tasks, not a Dataset pipeline: the
-        # reduce is a FIXED fan-out of independent per-partition tasks
-        # with tiny dict outputs — the one place the Dataset API adds
-        # only launch overhead (~0.5-1s per epoch). Task retries on
-        # worker death are preserved (ray.remote default max_retries).
-        reducer_ref = ray_core.put(reducer)
+            # stages 1.5 and 2 run as plain Ray tasks, not a Dataset
+            # pipeline: a FIXED fan-out of independent tasks with tiny
+            # outputs — the one place the Dataset API adds only launch
+            # overhead (~0.5-1s per epoch). Task retries on worker death
+            # are preserved (ray.remote default max_retries). The reducer
+            # (with the exchange reader) is stored once in plasma.
+            ex_schema = pa.schema([*self.registry.schema,
+                                   pa.field("lsn", pa.int64()),
+                                   pa.field("op", pa.string()),
+                                   pa.field(BUCKET_COL, pa.int32())])
+            reducer_ref = ray_core.put(_PartitionReducer(
+                self.root, ex.reader(index, ex_schema),
+                reg_json, epoch_id, base_files, payload_cols,
+                modes=modes,
+                change_feed=change_feed,
+                token_cols=self._token_bloom_cols,
+            ))
 
-        @ray_core.remote
-        def _reduce_task(r, part: int) -> dict:
-            # the reducer arrives auto-dereferenced from reducer_ref —
-            # stored once in plasma, not re-pickled per task
-            return r._reduce_one(part, r._load_raw(part))
+            # -- optional stage 1.5: salted sub-bucket pre-reduce --------
+            salt_task = ray_core.remote(_salt_reduce)
+            pre: dict[int, list] = {}
+            for b in sorted(index):
+                if b // S in salted:
+                    pre.setdefault(b // S, []).append(
+                        salt_task.remote(reducer_ref, b))
+            # the salt pre-reduce counts toward stage 1's reported wall
+            pending = [r for refs in pre.values() for r in refs]
+            if pending:
+                ray_core.wait(pending, num_returns=len(pending),
+                              fetch_local=False)
 
-        @ray_core.remote
-        def _reduce_task_obj(r, part: int, refs: list) -> dict:
-            # object transport: the partition's slices are plasma objects
-            # (refs nested in a list are NOT auto-derefed — fetched here,
-            # on the node the task runs on)
-            tables = [t for t in ray_core.get(refs)
-                      if t is not None and t.num_rows]
-            raw = pa.concat_tables(tables, promote_options="permissive")
-            return r._reduce_one(part, raw)
-
-        _t1 = _time.perf_counter()
-        if obj_index is not None:
-            futs = [_reduce_task_obj.remote(reducer_ref, k, obj_index[k])
-                    for k in touched]
-        else:
-            futs = [_reduce_task.remote(reducer_ref, k) for k in touched]
-        lineage = pd.DataFrame(ray_core.get(futs))
-        _t2 = _time.perf_counter()
+            # -- stage 2: one parallel task per touched partition ---------
+            _t1 = time.perf_counter()
+            reduce_task = ray_core.remote(_reduce_partition)
+            lineage = pd.DataFrame(ray_core.get([
+                reduce_task.remote(reducer_ref, k, k * S, *pre.get(k, ()))
+                for k in touched
+            ]))
+            _t2 = time.perf_counter()
+        finally:
+            # exchange files are transient: gone on every exit path
+            shutil.rmtree(staging, ignore_errors=True)
 
         # -- two-phase commit -------------------------------------------
         def _build_part_results() -> dict:
@@ -1378,7 +1107,7 @@ class LakeTable:
         # per-partition volumes (top 64 by rows — hot partitions are few
         # by definition; a capped record keeps lineage bounded at high P.
         # If >64 partitions are ALL past the salt threshold, the ones the
-        # cap drops merely stay on the packed path — correctness holds)
+        # cap drops merely stay unsalted — correctness holds)
         top_parts = sorted(frag_rows.items(), key=lambda kv: -kv[1])[:64]
         commit_meta = {
             **(epoch_meta or {}),
@@ -1408,9 +1137,6 @@ class LakeTable:
             if epoch_id in self.manifest.committed_epoch_ids():
                 # another process applied this very epoch (exactly-once):
                 # our uuid-named output files are orphans for gc()
-                shutil.rmtree(staging, ignore_errors=True)
-                if reduced_dir is not None:
-                    shutil.rmtree(reduced_dir, ignore_errors=True)
                 return {"epoch_id": epoch_id, "skipped": True,
                         "concurrent": True}
             overlap = self.manifest.touched_since(base_version) & touched_keys
@@ -1418,18 +1144,11 @@ class LakeTable:
                 k for k in overlap
                 if modes.get(int(k)) not in ("append", "delta"))
             if conflicted:
-                shutil.rmtree(staging, ignore_errors=True)
-                if reduced_dir is not None:
-                    shutil.rmtree(reduced_dir, ignore_errors=True)
                 raise ConcurrentModificationError(
                     f"epoch {epoch_id!r}: partitions {conflicted} were "
                     "rewritten from a base a concurrent writer has since "
                     "replaced; re-run apply_changes (idempotent by epoch "
                     "id) to recompute against the new base")
-        # exchange fragments are transient: GC after the commit
-        shutil.rmtree(staging, ignore_errors=True)
-        if reduced_dir is not None:
-            shutil.rmtree(reduced_dir, ignore_errors=True)
         return {
             "epoch_id": epoch_id,
             "lsn_min": lsn_min,
@@ -1437,15 +1156,14 @@ class LakeTable:
             "partitions_touched": len(part_results),
             "rows_live": int(lineage["rows"].sum()),
             "num_salts": int(num_salts),
-            # which partitions actually took the salted layout this epoch
-            # (None/absent semantics: all of them, when explicitly salted)
-            "salted_parts": sorted(salted_touched) if num_salts > 1 else [],
+            # which partitions took the salted pre-reduce this epoch
+            "salted_parts": sorted(salted),
             # per-stage wall metrics (engine diagnostics; the reference's
             # per-operator metric stream analog, pipeline.hpp:180)
             "timings": {
                 "stage1_exchange_s": round(_t1 - _t0, 3),
                 "stage2_reduce_s": round(_t2 - _t1, 3),
-                "commit_s": round(_time.perf_counter() - _t2, 3),
+                "commit_s": round(time.perf_counter() - _t2, 3),
             },
         }
 
@@ -1455,8 +1173,8 @@ class LakeTable:
         epoch's exchange stats (see apply_changes): returns
         ``(num_salts, salt_parts)``. Salting is per partition — only the
         partitions whose post-combine change volume crossed the
-        one-worker-heap threshold last epoch take the salted layout;
-        everything else keeps the packed-IPC fast path. ``salt_parts`` of
+        one-worker-heap threshold last epoch are salted; everything else
+        keeps a single exchange bucket. ``salt_parts`` of
         ``None`` (legacy lineage without part_rows) salts every partition."""
         thr = int(os.environ.get(SALT_THRESHOLD_ENV, DEFAULT_SALT_THRESHOLD))
         for e in reversed(self.manifest.epochs):

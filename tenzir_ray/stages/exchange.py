@@ -1,16 +1,21 @@
-"""Generic packed-IPC hash exchange for co-partitioned operations.
+"""Generic packed-IPC hash exchange: the one transport every co-partitioned
+operation rides — joins, set operations, :func:`grouped_apply` and the CDC
+lake's ``apply_changes``.
 
-Generalizes the design the CDC lake proved out (cdc/lake.py
-``_FragmentWriter``): map-side tasks write each input batch as ONE packed
-Arrow-IPC file containing one record batch per hash bucket present, and
-return tiny stats rows ``(bucket, rows, bytes, file, batch_idx)`` that
-ARE the exchange index — the driver hands each reduce task exactly the
-(file, batch) pairs for its buckets, so orphan files from retried tasks
-are never even opened, and duplicate stats rows from a retried map task
-are collapsed by the index builder. Measured 2-3x faster than Ray's
-shuffle backends for this partition-keyed pattern locally (page cache);
-on a real cluster the staging dir must live on shared storage — the same
-documented assumption as the CDC lake exchange.
+A caller supplies ONE bucket-assignment function ``buckets(batch,
+num_buckets) -> int64 ndarray``: joins, setops and ``grouped_apply`` bind
+:func:`key_buckets` to their keys, the CDC lake passes its persisted
+partition function (salted hot partitions as sub-bucket ranges of the same
+index). Map-side tasks write each input batch as ONE packed Arrow-IPC file
+containing one record batch per bucket present, and return tiny stats rows
+``(bucket, rows, bytes, file, batch_idx)`` that ARE the exchange index —
+the driver hands each reduce task exactly the (file, batch) pairs for its
+buckets, so orphan files from retried tasks are never even opened, and
+duplicate stats rows from a retried map task are collapsed by the index
+builder. Measured 2-3x faster than Ray's shuffle backends for this
+partition-keyed pattern locally (page cache); on a real cluster the
+staging dir must live on shared storage, or the object-store transport
+carries the same index over plasma instead.
 
 Scale story (the fix for the old fixed-32-bucket joins): the bucket
 count is FINE (default 8x CPUs, up to 1024) so no single bucket
@@ -29,6 +34,7 @@ import sys
 import tempfile
 import time
 import uuid
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -215,15 +221,15 @@ def key_buckets(batch: pa.Table, keys: list[str], num_buckets: int) -> np.ndarra
 
 
 class ExchangeWriter:
-    """Stage-1 map task: bucket the batch by key hash, write ONE packed
-    Arrow-IPC file (one record batch per bucket present), emit the
+    """Stage-1 map task: assign the batch's rows to buckets, write ONE
+    packed Arrow-IPC file (one record batch per bucket present), emit the
     stats/index rows. ``transform`` optionally rewrites the batch first
     (e.g. column renames) so the exchange carries the final schema."""
 
-    def __init__(self, staging: str, keys: list[str], num_buckets: int,
+    def __init__(self, staging: str, buckets, num_buckets: int,
                  side: str, transform=None):
         self.staging = staging
-        self.keys = keys
+        self.buckets = buckets
         self.num_buckets = num_buckets
         self.side = side
         self.transform = transform
@@ -235,7 +241,7 @@ class ExchangeWriter:
             [], [], [], [], [],
         )
         if batch.num_rows:
-            bucket = key_buckets(batch, self.keys, self.num_buckets)
+            bucket = self.buckets(batch, num_buckets=self.num_buckets)
             order = np.argsort(bucket, kind="stable")
             sb = bucket[order]
             bounds = np.r_[np.flatnonzero(np.r_[True, sb[1:] != sb[:-1]]), len(sb)]
@@ -266,31 +272,34 @@ class ExchangeWriter:
         )
 
 
-def run_exchange(ds, keys: list[str], num_buckets: int, staging: str,
+def run_exchange(ds, buckets, num_buckets: int, staging: str,
                  side: str, transform=None,
                  batch_size: int | None = 65536):
     """Execute stage 1 for one side. Returns
-    ``(index: dict[bucket -> list[(file, batch_idx)]], bytes_per_bucket)``.
-    The ``to_pandas`` here is the exchange barrier — the stats are tiny
-    (one row per (input batch, bucket) pair)."""
+    ``(index: dict[bucket -> list[(file, batch_idx)]], bytes_per_bucket,
+    rows_per_bucket)``. The ``to_pandas`` here is the exchange barrier —
+    the stats are tiny (one row per (input batch, bucket) pair)."""
     stats = ds.map_batches(
-        ExchangeWriter(staging, keys, num_buckets, side, transform),
+        ExchangeWriter(staging, buckets, num_buckets, side, transform),
         batch_format="pyarrow",
         batch_size=batch_size,
     ).to_pandas()
     index: dict[int, list] = {}
     nbytes: dict[int, int] = {}
+    rows: dict[int, int] = {}
     if "bucket" not in stats.columns:
         # a zero-block input side (e.g. joining against an empty
         # Dataset) yields an empty stats frame WITHOUT columns — Ray
         # drops the schema of all-empty datasets in to_pandas
-        return index, nbytes
-    for b, f, i, by in zip(
-        stats["bucket"], stats["file"], stats["batch_idx"], stats["bytes"]
+        return index, nbytes, rows
+    for b, f, i, by, n in zip(
+        stats["bucket"], stats["file"], stats["batch_idx"], stats["bytes"],
+        stats["rows"],
     ):
         index.setdefault(int(b), []).append((f, int(i)))
         nbytes[int(b)] = nbytes.get(int(b), 0) + int(by)
-    return index, nbytes
+        rows[int(b)] = rows.get(int(b), 0) + int(n)
+    return index, nbytes, rows
 
 
 def read_bucket(staging: str, index: dict[int, list], buckets: list[int],
@@ -345,33 +354,6 @@ def coalesce_tasks(bucket_ids: list[int], nbytes: dict[int, int],
 # --------------------------------------------------------------------------
 
 
-def pack_by_partition(block: pa.Table, part_ids: np.ndarray, n: int,
-                      drop: list[str] | None = None) -> list:
-    """Slice one block by a per-row partition id array; returns
-    ``[stats_dict, tbl_p0, ..., tbl_p{n-1}]`` — the shared packing
-    kernel behind the object-store exchange AND the CDC lake's apply
-    path (stable argsort, boundary flatnonzero, per-slice
-    combine_chunks, (rows, nbytes) stats). Empty partitions return None
-    (tiny objects; reduce skips them via the stats-driven index)."""
-    outs: list = [None] * n
-    stats: dict[int, tuple[int, int]] = {}
-    if len(part_ids):
-        order = np.argsort(part_ids, kind="stable")
-        sp = part_ids[order]
-        bounds = np.r_[np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]]), len(sp)]
-        body = block.take(pa.array(order))
-        if drop:
-            body = body.drop_columns(drop)
-        body = body.combine_chunks()
-        for i in range(len(bounds) - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            piece = body.slice(lo, hi - lo).combine_chunks()
-            p = int(sp[lo])
-            outs[p] = piece
-            stats[p] = (hi - lo, piece.nbytes)
-    return [stats] + outs
-
-
 #: bucket-space segments per map task in the object transport — the
 #: object-count / over-fetch dial: per task ``_OBJ_SEGMENTS + 1``
 #: plasma objects (vs the old num_buckets+1, whose per-object overhead
@@ -381,7 +363,7 @@ def pack_by_partition(block: pa.Table, part_ids: np.ndarray, n: int,
 _OBJ_SEGMENTS = 16
 
 
-def _pack_block_sorted(block: pa.Table, keys: list[str], num_buckets: int,
+def _pack_block_sorted(block: pa.Table, buckets, num_buckets: int,
                        transform) -> list:
     """Pack one input block for the object transport: ``_OBJ_SEGMENTS``
     bucket-sorted SEGMENT tables + a stats dict
@@ -398,7 +380,7 @@ def _pack_block_sorted(block: pa.Table, keys: list[str], num_buckets: int,
     S = _OBJ_SEGMENTS
     if not block.num_rows:
         return [{}] + [None] * S
-    part_ids = key_buckets(block, keys, num_buckets)
+    part_ids = buckets(block, num_buckets=num_buckets)
     order = np.argsort(part_ids, kind="stable")
     sp = part_ids[order]
     bounds = np.r_[np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]]), len(sp)]
@@ -426,15 +408,13 @@ def _pack_block_sorted(block: pa.Table, keys: list[str], num_buckets: int,
     return [stats] + segs
 
 
-def run_exchange_obj(ds, keys: list[str], num_buckets: int, side: str,
-                     transform=None, batch_size: int | None = 65536):
+def run_exchange_obj(ds, buckets, num_buckets: int, transform=None,
+                     batch_size: int | None = 65536):
     """Stage 1 over the object store. Returns
     ``(index: dict[bucket -> list[(segment_ref, row_start, rows)]],
-    bytes_per_bucket)``. ``side`` is accepted for interface parity with
-    :func:`run_exchange`."""
+    bytes_per_bucket, rows_per_bucket)``."""
     import ray
 
-    del side  # no per-side namespace needed: refs are already unique
     if batch_size is not None:
         # to_arrow_refs() yields one ref per BLOCK; honor the requested
         # granularity so pack tasks see comparable batch sizes
@@ -445,12 +425,13 @@ def run_exchange_obj(ds, keys: list[str], num_buckets: int, side: str,
     pack = ray.remote(_pack_block_sorted)
     outs = [
         pack.options(num_returns=_OBJ_SEGMENTS + 1).remote(
-            br, keys, num_buckets, transform
+            br, buckets, num_buckets, transform
         )
         for br in block_refs
     ]
     index: dict[int, list] = {}
     nbytes: dict[int, int] = {}
+    nrows: dict[int, int] = {}
     # ONE batched get for every task's stats object — a per-task ray.get
     # loop serializes the driver behind len(outs) sequential round-trips
     all_stats = ray.get([refs[0] for refs in outs])
@@ -459,7 +440,8 @@ def run_exchange_obj(ds, keys: list[str], num_buckets: int, side: str,
             index.setdefault(int(b), []).append(
                 (refs[1 + int(seg)], int(start), int(rows)))
             nbytes[int(b)] = nbytes.get(int(b), 0) + int(by)
-    return index, nbytes
+            nrows[int(b)] = nrows.get(int(b), 0) + int(rows)
+    return index, nbytes, nrows
 
 
 def read_bucket_obj(index: dict[int, list], buckets: list[int],
@@ -487,7 +469,8 @@ def read_bucket_obj(index: dict[int, list], buckets: list[int],
 
 
 class Exchange:
-    """Transport-selecting facade used by join/asof/grouped_apply:
+    """Transport-selecting facade used by join/asof/setops/grouped_apply
+    and the CDC lake:
     ``transport`` is "fs" (packed-IPC staging files; needs shared
     storage multi-node) or "object" (Ray object store — works on any
     cluster). Since the bucket-sorted segmented packing
@@ -495,26 +478,37 @@ class Exchange:
     (measured 8M-row join @32 cpus, same window: object 3.3-4.1 s vs
     fs 3.9-4.1 s; was object ~2x slower with per-bucket objects) —
     prefer "object" on clusters without fast shared POSIX storage.
-    Defaults to $TENZIR_RAY_EXCHANGE_TRANSPORT or "fs"."""
+    Defaults to $TENZIR_RAY_EXCHANGE_TRANSPORT or "fs".
+
+    ``staging`` names an fs staging directory the CALLER owns and removes
+    (the CDC lake stages each epoch under its own root); without it a
+    fresh directory is made under :func:`exchange_root` and removed at
+    process exit."""
 
     def __init__(self, tag: str, transport: str | None = None,
-                 staging_root: str | None = None):
+                 staging_root: str | None = None, *,
+                 staging: str | None = None):
         self.transport = transport or default_transport()
         if self.transport not in ("fs", "object"):
             raise ValueError(f"unknown exchange transport {self.transport!r}")
-        self.staging = (
-            new_staging(tag, staging_root) if self.transport == "fs" else None
-        )
+        self.staging = None
+        if self.transport == "fs":
+            self.staging = staging or new_staging(tag, staging_root)
+            os.makedirs(self.staging, exist_ok=True)
 
-    def run(self, ds, keys, num_buckets, side, transform=None,
+    def run(self, ds, buckets, num_buckets, side, transform=None,
             batch_size: int | None = 65536):
+        """Stage 1 for one side: ``buckets(batch, num_buckets=)`` assigns
+        each (transformed) row a bucket in ``[0, num_buckets)``. Returns
+        ``(index, bytes_per_bucket, rows_per_bucket)``; the index feeds
+        :meth:`reader`."""
         if self.transport == "fs":
             return run_exchange(
-                ds, keys, num_buckets, self.staging, side,
+                ds, buckets, num_buckets, self.staging, side,
                 transform=transform, batch_size=batch_size,
             )
         return run_exchange_obj(
-            ds, keys, num_buckets, side, transform=transform,
+            ds, buckets, num_buckets, transform=transform,
             batch_size=batch_size,
         )
 
@@ -582,7 +576,8 @@ def grouped_apply(ds, keys, fn, *, num_buckets: int | None = None,
              else [keys] if isinstance(keys, str) else list(keys))
     B = num_buckets or default_buckets()
     ex = Exchange(tag, transport, staging_root)
-    idx, nbytes = ex.run(ds, kcols, B, "g", batch_size=batch_size)
+    idx, nbytes, _ = ex.run(ds, partial(key_buckets, keys=kcols), B, "g",
+                            batch_size=batch_size)
     tasks = coalesce_tasks(list(idx), nbytes, target_task_bytes)
     reducer = _GroupedApplyReducer(ex.reader(idx, schema), fn, fn_format)
     if not tasks:

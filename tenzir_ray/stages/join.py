@@ -25,6 +25,7 @@ shared storage (same documented assumption as the CDC lake).
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -35,6 +36,7 @@ from tenzir_ray.stages.exchange import (
     Exchange,
     coalesce_tasks,
     default_buckets,
+    key_buckets,
 )
 
 
@@ -237,14 +239,14 @@ def hash_join(left, right, on: str | list[str], right_on: str | list[str] | None
     B = num_buckets or default_buckets()
     ex = Exchange("join", transport, staging_root)
 
-    lidx, lbytes = ex.run(
-        left, lkeys, B, "l",
+    lidx, lbytes, _ = ex.run(
+        left, partial(key_buckets, keys=lkeys), B, "l",
         transform=_cast_cols(plan.l_casts) if plan.l_casts else None,
         batch_size=batch_size,
     )
-    ridx, rbytes = ex.run(
-        right, r_key_names, B, "r", transform=_rename_right(plan),
-        batch_size=batch_size,
+    ridx, rbytes, _ = ex.run(
+        right, partial(key_buckets, keys=r_key_names), B, "r",
+        transform=_rename_right(plan), batch_size=batch_size,
     )
     # semi keeps only matched left rows, so right-empty buckets emit
     # nothing; anti and left must still visit every left bucket; the
@@ -610,12 +612,14 @@ def asof_join(left, right, by: str | list[str], on: str,
         b = b.rename_columns([rename_r.get(c, c) for c in b.column_names])
         return _cast(b, r_casts) if r_casts else b
 
-    lidx, lbytes = ex.run(
-        left, keys, B, "l",
+    by_keys = partial(key_buckets, keys=keys)
+    lidx, lbytes, _ = ex.run(
+        left, by_keys, B, "l",
         transform=(lambda b: _cast(b, l_casts)) if l_casts else None,
         batch_size=batch_size,
     )
-    ridx, rbytes = ex.run(right, keys, B, "r", transform=_ren, batch_size=batch_size)
+    ridx, rbytes, _ = ex.run(right, by_keys, B, "r", transform=_ren,
+                             batch_size=batch_size)
     relevant = set(lidx)  # as-of is a left join
     total = {b: lbytes.get(b, 0) + rbytes.get(b, 0) for b in relevant}
     tasks = coalesce_tasks(list(relevant), total, target_task_bytes)
@@ -991,10 +995,11 @@ def range_join_partitioned(left, right, on: str, lo: str = "lo",
     )
 
     ex = Exchange("rjoin", transport, staging_root)
-    lidx, lbytes = ex.run(left, [_RB], B, "l", transform=_tag_left,
-                          batch_size=batch_size)
-    ridx, rbytes = ex.run(right, [_RB], B, "r", transform=_tag_right,
-                          batch_size=batch_size)
+    by_range = partial(key_buckets, keys=[_RB])
+    lidx, lbytes, _ = ex.run(left, by_range, B, "l", transform=_tag_left,
+                             batch_size=batch_size)
+    ridx, rbytes, _ = ex.run(right, by_range, B, "r", transform=_tag_right,
+                             batch_size=batch_size)
     relevant = set(lidx) & set(ridx) if how == "inner" else set(lidx)
     total = {b: lbytes.get(b, 0) + rbytes.get(b, 0) for b in relevant}
     tasks = coalesce_tasks(list(relevant), total, target_task_bytes)

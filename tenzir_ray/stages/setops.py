@@ -24,6 +24,7 @@ a tuple's copies all land in one bucket by construction.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -34,6 +35,7 @@ from tenzir_ray.stages.exchange import (
     Exchange,
     coalesce_tasks,
     default_buckets,
+    key_buckets,
 )
 from tenzir_ray.stages.join import _require_schemas, _task_buckets
 
@@ -125,10 +127,11 @@ def set_op(left, right, op: str, all_rows: bool = False,
     keys = list(lschema.names)
     B = num_buckets or default_buckets()
     ex = Exchange("setop", transport, staging_root)
-    lidx, lbytes = ex.run(left, keys, B, "l", batch_size=batch_size)
-    ridx, rbytes = ex.run(right, keys, B, "r",
-                          transform=_align_right(lschema, op),
-                          batch_size=batch_size)
+    by_keys = partial(key_buckets, keys=keys)
+    lidx, lbytes, _ = ex.run(left, by_keys, B, "l", batch_size=batch_size)
+    ridx, rbytes, _ = ex.run(right, by_keys, B, "r",
+                             transform=_align_right(lschema, op),
+                             batch_size=batch_size)
     # intersect emits only tuples present on BOTH sides; except must
     # visit every left bucket (right-empty buckets pass left distinct)
     relevant = (set(lidx) & set(ridx)) if op == "intersect" else set(lidx)

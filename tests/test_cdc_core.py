@@ -108,11 +108,13 @@ def test_crash_partial_files_ignored(ray_session, tmp_path):
     assert orphan not in lake2.manifest.live_files()
 
 
-def test_salted_subpartitioning(ray_session, tmp_path):
+@pytest.mark.parametrize("transport", ["fs", "object"])
+def test_salted_subpartitioning(ray_session, tmp_path, transport):
     """Skew path: salted pre-reduce must not change the result."""
     changes = gen_changes(8_000, seed=13, n_convs=20)  # few convs → hot keys
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lake.apply_changes(changes, epoch_id="e1", num_salts=4)
+    lake.apply_changes(changes, epoch_id="e1", num_salts=4,
+                       transport=transport)
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
 
 
@@ -145,18 +147,20 @@ def test_auto_salt_gating(ray_session, tmp_path, monkeypatch):
     r3 = lake.apply_changes(e2.slice(0, 100), epoch_id="e3", num_salts="auto")
     assert r3["num_salts"] == 0
 
-    # auto on the object transport resolves to 0 (salts are fs-only)
+    # auto salts on the object transport too (same exchange)
     monkeypatch.setenv(lake_mod.SALT_THRESHOLD_ENV, "1")
     r4 = lake.apply_changes(e2.slice(100, 100), epoch_id="e4",
                             num_salts="auto", transport="object")
-    assert r4["num_salts"] == 0
+    assert r4["num_salts"] == lake_mod.AUTO_NUM_SALTS
 
 
-def test_per_partition_auto_salt(ray_session, tmp_path, monkeypatch):
+@pytest.mark.parametrize("transport", ["fs", "object"])
+def test_per_partition_auto_salt(ray_session, tmp_path, monkeypatch,
+                                 transport):
     """Per-partition salt gate: with the threshold set between last
     epoch's hottest and second-hottest partition volumes, ONLY the hot
-    partition takes the salted layout — the rest stay on the packed-IPC
-    path in the same epoch — and the result still equals the oracle."""
+    partition is salted — the rest keep a single exchange bucket in the
+    same epoch — and the result still equals the oracle."""
     from tenzir_ray.cdc import lake as lake_mod
 
     changes = gen_changes(8_000, seed=13, n_convs=20)
@@ -165,7 +169,8 @@ def test_per_partition_auto_salt(ray_session, tmp_path, monkeypatch):
     e2 = changes.filter(pa.compute.greater_equal(lsn, 4000))
 
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lake.apply_changes(e1, epoch_id="e1", num_salts="auto")
+    lake.apply_changes(e1, epoch_id="e1", num_salts="auto",
+                       transport=transport)
     ex = lake.manifest.epochs[-1]["meta"]["_exchange"]
     vols = sorted((int(v) for v in ex["part_rows"].values()), reverse=True)
     assert len(vols) >= 2 and vols[0] > vols[1]  # a strict hot/cold gap
@@ -173,7 +178,8 @@ def test_per_partition_auto_salt(ray_session, tmp_path, monkeypatch):
                  if int(v) > vols[1])
 
     monkeypatch.setenv(lake_mod.SALT_THRESHOLD_ENV, str(vols[1]))
-    r2 = lake.apply_changes(e2, epoch_id="e2", num_salts="auto")
+    r2 = lake.apply_changes(e2, epoch_id="e2", num_salts="auto",
+                            transport=transport)
     assert r2["num_salts"] == lake_mod.AUTO_NUM_SALTS
     assert r2["salted_parts"] == hot          # only the hot partition(s)
     assert len(r2["salted_parts"]) < r2["partitions_touched"]  # mixed epoch
@@ -239,30 +245,61 @@ def test_tail_directory_resume(ray_session, tmp_path):
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
 
 
-def test_task_retry_convergence(ray_session, tmp_path, monkeypatch):
-    """At-least-once execution: a fragment-writer task that CRASHES once
-    (first attempt) must not corrupt the lake — Ray retries the task (worker death is a
-    system failure), the duplicated fragments collapse under LWW, and
+@pytest.mark.parametrize("transport", ["fs", "object"])
+def test_task_retry_convergence(ray_session, tmp_path, monkeypatch,
+                                transport):
+    """At-least-once execution: a stage-1 exchange writer that CRASHES
+    once (first attempt, after its output is written) must not corrupt
+    the lake — Ray retries the task (worker death is a system failure),
+    the exchange index names only the successful attempt's output, and
     the final state equals the oracle."""
-    import tenzir_ray.cdc.lake as lake_mod
+    import tenzir_ray.stages.exchange as ex_mod
 
     changes = gen_changes(4_000, seed=31)
     marker = str(tmp_path / "fail-once-marker")
 
-    orig_call = lake_mod._FragmentWriter.__call__
-
-    def flaky_call(self, batch):
-        out = orig_call(self, batch)  # fragments hit disk BEFORE the crash
+    def die_once():
         if not os.path.exists(marker):
             open(marker, "w").close()
             os._exit(1)  # hard worker death → Ray retries the task
-        return out
 
-    monkeypatch.setattr(lake_mod._FragmentWriter, "__call__", flaky_call)
+    if transport == "fs":
+        orig_call = ex_mod.ExchangeWriter.__call__
+
+        def flaky_call(self, batch):
+            out = orig_call(self, batch)  # packed file on disk BEFORE the crash
+            die_once()
+            return out
+
+        monkeypatch.setattr(ex_mod.ExchangeWriter, "__call__", flaky_call)
+    else:
+        orig_pack = ex_mod._pack_block_sorted
+
+        def flaky_pack(*args):
+            out = orig_pack(*args)  # segments packed BEFORE the crash
+            die_once()
+            return out
+
+        monkeypatch.setattr(ex_mod, "_pack_block_sorted", flaky_pack)
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lake.apply_changes(changes, epoch_id="e1")
-    monkeypatch.setattr(lake_mod._FragmentWriter, "__call__", orig_call)
+    lake.apply_changes(changes, epoch_id="e1", transport=transport)
+    monkeypatch.undo()
+    assert os.path.exists(marker)  # the writer really died once
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
+
+
+def test_failed_epoch_removes_staging(ray_session, tmp_path):
+    """An epoch that raises mid-apply leaves no exchange files behind."""
+    changes = gen_changes(2_000, seed=3)  # has updates/deletes
+    root = str(tmp_path / "lake")
+    lake = LakeTable(root, num_partitions=4)
+    with pytest.raises(ValueError, match="append_only"):
+        lake.apply_changes(changes, epoch_id="e1", append_only=True,
+                           transport="fs")
+    staged = [f for _, _, files in os.walk(os.path.join(root, "_staging"))
+              for f in files]
+    assert staged == []
+    assert "e1" not in lake.manifest.committed_epoch_ids()
 
 
 def test_delta_merge_on_read(ray_session, tmp_path):

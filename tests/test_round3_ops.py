@@ -617,12 +617,16 @@ def test_lake_apply_object_transport(ray_session, tmp_path):
     # idempotent replay on the object path
     assert ob.apply_changes(second, epoch_id="e2",
                             transport="object")["skipped"] is True
-    # no staging directory was ever created on the object path
-    assert not os.path.exists(str(tmp_path / "ob" / "_staging" / "e1"))
-    # salted mode is fs-only, loudly
-    with pytest.raises(ValueError, match="salted"):
-        ob.apply_changes(second, epoch_id="e3", transport="object",
+    # salted mode runs on the object path too
+    salted = LakeTable(str(tmp_path / "obs"), num_partitions=8)
+    salted.apply_changes(changes, epoch_id="e1", transport="object",
                          num_salts=4)
+    got = salted.final_table()
+    assert got.to_pandas().equals(
+        naive_apply(changes).select(got.column_names).to_pandas())
+    # no staging directory was ever created on the object path
+    assert not os.path.exists(str(tmp_path / "ob" / "_staging"))
+    assert not os.path.exists(str(tmp_path / "obs" / "_staging"))
 
 
 def test_read_lake_tql_with_pushdown(ray_session, tmp_path):
