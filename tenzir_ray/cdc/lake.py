@@ -54,7 +54,6 @@ reference's partition rebuild, builtins/commands/rebuild.cpp:26).
 from __future__ import annotations
 
 import hashlib
-import json as _json
 import os
 import time
 import uuid
@@ -70,7 +69,6 @@ import pyarrow.parquet as pq
 from tenzir_ray.cdc.manifest import (
     MANIFEST_NAME,
     REGISTRY_NAME,
-    ConcurrentModificationError,
     Manifest,
 )
 from tenzir_ray.cdc.registry import SchemaRegistry
@@ -726,22 +724,28 @@ class _PartitionReducer:
             ).as_py()
             or 0
         )
+        counts = ({"rows": 0, "delta_rows": out.num_rows} if mode == "delta"
+                  else {"rows": out.num_rows - n_tomb, "delta_rows": 0})
         return {
             "part": part,
-            "rows": out.num_rows - (n_tomb if mode != "delta" else 0),
-            "tombstones": n_tomb,
-            "mode": mode,
-            # JSON string: heterogeneous min/max types don't survive the
-            # Arrow struct inference of the lineage result block
-            "stats": _json.dumps(_zone_stats(out, self.token_cols)),
-            # applied-LSN watermark (resume checkpoint)
-            "lsn_high": lsn_high,
             # this epoch's change-lsn range (lineage)
             "lsn_lo": int(change_lsn.min()) if len(change_lsn) else -1,
             "lsn_hi": int(change_lsn.max()) if len(change_lsn) else -1,
-            "checksum": checksum,
-            "file": rel,
-            "cdf_file": cdf_rel,
+            # the partition's lineage entry (manifest.py Manifest.fold):
+            # append/delta ADD the file with counter increments, a full
+            # rewrite REPLACES the file set
+            "entry": {
+                "mode": mode,
+                ("files" if mode == "full" else "add"): [rel],
+                **counts,
+                "tombstones": n_tomb,
+                # applied-LSN watermark (resume checkpoint)
+                "lsn_high": lsn_high,
+                "checksum": checksum,
+                "new_file": rel,
+                **({"cdf_file": cdf_rel} if cdf_rel else {}),
+                "file_stats": {rel: _zone_stats(out, self.token_cols)},
+            },
         }
 
 
@@ -1042,66 +1046,19 @@ class LakeTable:
             # -- stage 2: one parallel task per touched partition ---------
             _t1 = time.perf_counter()
             reduce_task = ray_core.remote(_reduce_partition)
-            lineage = pd.DataFrame(ray_core.get([
+            reduced = ray_core.get([
                 reduce_task.remote(reducer_ref, k, k * S, *pre.get(k, ()))
                 for k in touched
-            ]))
+            ])
             _t2 = time.perf_counter()
         finally:
             # exchange files are transient: gone on every exit path
             shutil.rmtree(staging, ignore_errors=True)
 
         # -- two-phase commit -------------------------------------------
-        def _build_part_results() -> dict:
-            """Per-partition replacement records against the CURRENT base
-            (re-run on OCC rebase: append/delta epochs recompute their
-            cumulative counters on top of a concurrent writer's commit)."""
-            out = {}
-            for r in lineage.itertuples():
-                k = str(int(r.part))
-                prev = self.manifest.partitions.get(k, {})
-                fstats = _json.loads(r.stats) if r.stats else {}
-                if r.mode == "append":
-                    out[k] = {
-                        "files": list(prev.get("files", [])) + [r.file],
-                        "rows": (prev.get("rows", 0) or 0) + int(r.rows),
-                        "delta_rows": prev.get("delta_rows", 0) or 0,
-                        "tombstones": prev.get("tombstones", 0) or 0,
-                        "lsn_high": max(int(r.lsn_high), prev.get("lsn_high", -1)),
-                        "checksum": int(r.checksum),
-                        "file_stats": {**(prev.get("file_stats") or {}),
-                                       r.file: fstats},
-                    }
-                elif r.mode == "delta":
-                    out[k] = {
-                        "files": list(prev.get("files", [])) + [r.file],
-                        "rows": prev.get("rows", 0),
-                        "delta_rows": (prev.get("delta_rows", 0) or 0) + int(r.rows),
-                        "tombstones": (prev.get("tombstones", 0) or 0) + int(r.tombstones),
-                        "lsn_high": max(int(r.lsn_high), prev.get("lsn_high", -1)),
-                        "checksum": int(r.checksum),
-                        "file_stats": {**(prev.get("file_stats") or {}),
-                                       r.file: fstats},
-                    }
-                else:
-                    out[k] = {
-                        "files": [r.file],
-                        "rows": int(r.rows),
-                        "delta_rows": 0,
-                        "tombstones": int(r.tombstones),
-                        "lsn_high": int(r.lsn_high),
-                        "checksum": int(r.checksum),
-                        "file_stats": {r.file: fstats},
-                    }
-                # lineage-only fields (time travel + change feed)
-                out[k]["mode"] = str(r.mode)
-                out[k]["new_file"] = r.file
-                if r.cdf_file is not None:
-                    out[k]["cdf_file"] = r.cdf_file
-            return out
-
-        lsn_min = int(lineage["lsn_lo"].min())
-        lsn_max = int(lineage["lsn_hi"].max())
+        part_results = {str(r["part"]): r["entry"] for r in reduced}
+        lsn_min = min(r["lsn_lo"] for r in reduced)
+        lsn_max = max(r["lsn_hi"] for r in reduced)
         # exchange stats ride the lineage record (same atomic write):
         # the next epoch's num_salts="auto" gate reads them back
         # per-partition volumes (top 64 by rows — hot partitions are few
@@ -1118,43 +1075,26 @@ class LakeTable:
                 "num_salts": int(num_salts),
             },
         }
-        # OCC commit loop (multi-writer; see manifest.py): append/delta
-        # epochs COMPOSE with concurrent commits under LWW-by-lsn (their
-        # new files don't depend on the base), so a lost CAS just rebases
-        # the cumulative counters and retries; a full rewrite computed
-        # from a base another writer has since replaced must NOT win —
-        # its file silently drops the interloper's changes — so it raises.
-        touched_keys = {str(int(r.part)) for r in lineage.itertuples()}
-        while True:
-            base_version = self.manifest.version
-            part_results = _build_part_results()
-            if self.manifest.try_commit_epoch(
-                    epoch_id, lsn_min, lsn_max, part_results,
-                    meta=commit_meta, registry_json=reg_json):
-                break
-            # lost the race — try_commit_epoch reloaded the manifest
-            self._sync_registry()
-            if epoch_id in self.manifest.committed_epoch_ids():
-                # another process applied this very epoch (exactly-once):
-                # our uuid-named output files are orphans for gc()
-                return {"epoch_id": epoch_id, "skipped": True,
-                        "concurrent": True}
-            overlap = self.manifest.touched_since(base_version) & touched_keys
-            conflicted = sorted(
-                k for k in overlap
-                if modes.get(int(k)) not in ("append", "delta"))
-            if conflicted:
-                raise ConcurrentModificationError(
-                    f"epoch {epoch_id!r}: partitions {conflicted} were "
-                    "rewritten from a base a concurrent writer has since "
-                    "replaced; re-run apply_changes (idempotent by epoch "
-                    "id) to recompute against the new base")
+        # OCC commit (multi-writer; see manifest.py): append/delta entries
+        # compose with concurrent commits under LWW-by-lsn, so a lost CAS
+        # retries the same record; a full rewrite of a partition another
+        # writer has since changed raises ConcurrentModificationError
+        committed = self.manifest.commit_epoch(
+            epoch_id, lsn_min, lsn_max, part_results,
+            meta=commit_meta, registry_json=reg_json)
+        self._sync_registry()
+        if not committed:
+            # another process applied this very epoch (exactly-once): our
+            # uuid-named output files are orphans for gc()
+            return {"epoch_id": epoch_id, "skipped": True,
+                    "concurrent": True}
         return {
             "epoch_id": epoch_id,
             "lsn_min": lsn_min,
             "lsn_max": lsn_max,
             "partitions_touched": len(part_results),
-            "rows_live": int(lineage["rows"].sum()),
+            "rows_live": sum(e["rows"] + e["delta_rows"]
+                             for e in part_results.values()),
             "num_salts": int(num_salts),
             # which partitions took the salted pre-reduce this epoch
             "salted_parts": sorted(salted),
@@ -1222,11 +1162,11 @@ class LakeTable:
         not resurrect into the match set).
 
         ``as_of`` time-travels: read the snapshot as of a committed epoch
-        (id or positional index, negatives from the end) by reconstructing
-        each partition's file set from lineage — every epoch record stores
-        the full replacement file set it published, so the snapshot is
-        exact (Delta-Lake ``versionAsOf``). Snapshots stay readable until
-        ``optimize()``/``gc()`` collect superseded files and
+        (id or positional index, negatives from the end) by folding the
+        lineage records up to it (``Manifest.fold``) — each records the
+        files its epoch added or the file set it replaced, so the snapshot
+        is exact (Delta-Lake ``versionAsOf``). Snapshots stay readable
+        until ``optimize()``/``gc()`` collect superseded files and
         ``truncate_lineage()`` drops the record (VACUUM semantics);
         schemas conform to the CURRENT registry (old snapshots gain
         later-added columns as nulls).
@@ -1666,8 +1606,10 @@ class LakeTable:
     def metrics(self) -> "ray.data.Dataset":
         """Epoch lineage as a Dataset (the reference's `metrics`/
         `diagnostics` stream analog, builtins/operators/metrics.cpp):
-        one row per committed epoch with lsn range, partition count, and
-        commit time."""
+        one row per committed epoch with lsn range, partition count,
+        commit time, and ``rows``: the rows the epoch wrote — live rows of
+        each partition it rewrote plus the rows of each delta or append
+        file it added (``rows + delta_rows`` of its lineage entries)."""
         import ray.data
 
         rows = [
@@ -1677,7 +1619,8 @@ class LakeTable:
                 "lsn_max": e["lsn_max"],
                 "committed_at": e["committed_at"],
                 "partitions_touched": len(e.get("partitions", {})),
-                "rows": sum(p.get("rows", 0) for p in e.get("partitions", {}).values()),
+                "rows": sum((p.get("rows") or 0) + (p.get("delta_rows") or 0)
+                            for p in e.get("partitions", {}).values()),
             }
             for e in self.manifest.epochs
         ]
@@ -1937,13 +1880,13 @@ class LakeTable:
             (e["lsn_max"] for e in
              self.manifest.epochs[: self.manifest.resolve_epoch(as_of) + 1]),
             default=-1)
-        part_results: dict = {}
-        for k in set(self.manifest.partitions) | set(snap):
-            info = snap.get(k)
-            rec = (dict(info) if info
-                   else {"files": [], "rows": 0, "tombstones": 0})
-            rec["lsn_high"] = restored_lsn
-            part_results[k] = rec
+        # one replacement entry per partition: the snapshot's folded state
+        # (files + their stats), or empty where the snapshot had none
+        part_results = {
+            k: {**snap.get(k, {"files": [], "rows": 0, "tombstones": 0}),
+                "mode": "restore", "lsn_high": restored_lsn}
+            for k in set(self.manifest.partitions) | set(snap)
+        }
         self.manifest.commit_epoch(
             eid, -1, -1, part_results,
             meta={"restore_of": as_of, "restored_lsn_high": restored_lsn})
@@ -2097,7 +2040,7 @@ class LakeTable:
             )
             if cluster_by:
                 out = out.take(pa.array(_zorder_argsort(out, cluster_by)))
-            files, stats = [], []
+            files, stats = [], {}
             bounds = np.linspace(0, out.num_rows, n_chunks + 1).astype(np.int64)
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 if hi <= lo:
@@ -2110,36 +2053,25 @@ class LakeTable:
                                compression_level=compression_level)
                 os.replace(dst + ".tmp", dst)
                 files.append(new_rel)
-                stats.append(_zone_stats(chunk, token_cols))
-            return {"part": k, "files": files, "rows": out.num_rows,
-                    "stats": _json.dumps(stats)}
+                stats[new_rel] = _zone_stats(chunk, token_cols)
+            return {"mode": "compact", "files": files, "rows": out.num_rows,
+                    "delta_rows": 0, "tombstones": 0, "file_stats": stats}
 
-        results = ray_core.get(
-            [_compact.remote(k, info["files"]) for k, info in todo.items()]
-        )
         # publish via a lineage record (not a bare partitions-map swap) so
         # time-travel's epoch-prefix reconstruction stays consistent with
         # the live state after compaction; changes() skips it (_compaction)
-        part_results = {}
-        for r in results:
-            info = self.manifest.partitions[r["part"]]
-            fstats = dict(zip(r["files"], _json.loads(r["stats"])))
-            part_results[r["part"]] = {
-                **info,
-                "files": list(r["files"]),
-                "rows": r["rows"],
-                "delta_rows": 0,
-                "tombstones": 0,
-                "mode": "compact",
-                "new_file": r["files"][0] if r["files"] else None,
-                "file_stats": fstats,
-            }
+        entries = ray_core.get(
+            [_compact.remote(k, info["files"]) for k, info in todo.items()])
+        part_results = {
+            k: {**e, "lsn_high": info.get("lsn_high", -1)}
+            for (k, info), e in zip(todo.items(), entries)
+        }
         self.manifest.commit_epoch(
             f"_optimize-{uuid.uuid4().hex[:8]}", -1, -1, part_results,
             meta={"_compaction": True},
         )
         self.gc()  # old files are now orphans
-        return len(results)
+        return len(part_results)
 
     def compact_hot(self, max_files: int = 8,
                     compression_level: int = 10) -> int:
@@ -2159,7 +2091,9 @@ class LakeTable:
         most recent ``keep_epochs`` records; live state is unaffected.
         Change-feed files owned by dropped epochs are deleted (the feed's
         retention IS the lineage retention); time-travel snapshots older
-        than the horizon become unreachable.
+        than the horizon become unreachable. The dropped prefix folds
+        (``Manifest.fold``) into one base record that replaces each
+        partition's state as of the horizon.
 
         Admin operation: run WITHOUT concurrent writers (like VACUUM) — it
         rewrites the lineage prefix in the snapshot and compacts the
@@ -2179,19 +2113,10 @@ class LakeTable:
                             os.remove(os.path.join(self.root, cdf))
                         except FileNotFoundError:
                             pass
-            # fold the dropped prefix's final per-partition state into one
-            # synthetic base record so time travel to any RETAINED epoch
+            # the dropped prefix folds into one synthetic base record of
+            # replacement entries, so time travel to any RETAINED epoch
             # stays complete — without it, a partition last touched before
             # the horizon silently vanishes from state_as_of()
-            base_files: dict[str, list] = {}
-            base_recs: dict[str, dict] = {}
-            for e in prefix:
-                recs = e.get("partitions", {})
-                for k, files in e.get("files", {}).items():
-                    base_files[k] = files
-                    r = dict(recs.get(k, {}))
-                    r.pop("cdf_file", None)  # feed file just deleted above
-                    base_recs[k] = r
             base = {
                 "epoch_id": f"_base-{prefix[-1]['epoch_id']}",
                 "seq": max(e.get("seq", i) for i, e in enumerate(prefix)),
@@ -2199,8 +2124,7 @@ class LakeTable:
                 "lsn_max": -1,
                 "meta": {"_compaction": True, "_lineage_base": True},
                 "committed_at": time.time(),
-                "partitions": base_recs,
-                "files": base_files,
+                "partitions": self.manifest.state_as_of(dropped - 1),
             }
             self.manifest.epochs = [base] + self.manifest.epochs[dropped:]
             self.manifest._atomic_write()

@@ -8,8 +8,23 @@ libtenzir/include/tenzir/catalog.hpp:83-88) — generalized to an atomic
 manifest swap:
 
 1. tasks write ``part=<k>/epoch-<id>-<uuid>.parquet`` data files;
-2. the driver appends one epoch record (applied lsn range, per-partition
-   files, row counts, checksums — the lineage record) and publishes it.
+2. the driver appends one epoch record (applied lsn range and, per
+   touched partition, what the epoch changed — the lineage record) and
+   publishes it.
+
+A lineage record is a base-plus-delta action, not a copy of the table
+state (Delta-Lake add/remove actions; the catalog's per-partition
+synopsis updates). Each ``partitions[k]`` entry either ADDS files
+(``add: [...]``, append/delta epochs; ``rows``/``delta_rows``/
+``tombstones`` are increments) or REPLACES the partition's file set
+(``files: [...]``, full rewrites, compaction, restore; counters are the
+new values). ``file_stats`` covers only the files the entry names, so a
+record's size tracks the epoch, not the history. :meth:`Manifest.fold`
+is the one rule that turns records into state: log replay, time travel
+(:meth:`state_as_of`), restore and the ``truncate_lineage`` base all
+fold. Records written before this format (cumulative counters and
+stats, full file sets in a top-level ``files`` map, a duplicate
+``state`` block in log records) are replacements and fold as such.
 
 Readers only see files listed in the manifest's ``partitions`` map, so a
 crash between (1) and (2) leaves orphaned files, never corruption — and a
@@ -26,12 +41,12 @@ observed and exactly ONE writer wins each version (``FileExistsError``
 is the CAS failure). ``_manifest.json`` becomes a snapshot CACHE: it
 carries the folded state up to some version, and :meth:`load` replays
 any newer log records on top, so a crash between log-append and
-snapshot-write loses nothing. Conflict semantics live in the caller
-(``LakeTable.apply_changes``): append/delta epochs compose under LWW and
-rebase automatically; concurrent full-rewrites of the same partition
-raise :class:`ConcurrentModificationError`. Schema-registry deltas ride
-the log record and fold via the evolve lattice join (commutative), so
-two writers adding different columns converge.
+snapshot-write loses nothing. Conflicts (:meth:`commit_epoch`): ``add``
+entries compose with concurrent commits under LWW and retry unchanged;
+a replacement of a partition a concurrent commit touched raises
+:class:`ConcurrentModificationError`. Schema-registry deltas ride the
+log record and fold via the evolve lattice join (commutative), so two
+writers adding different columns converge.
 """
 
 from __future__ import annotations
@@ -60,7 +75,8 @@ class ConcurrentModificationError(RuntimeError):
 class Manifest:
     root: str
     num_partitions: int
-    # current live state: partition id (str) -> {"files": [...], "rows": n, "lsn_high": l}
+    # current live state, folded from lineage: partition id (str) ->
+    # {"files", "rows", "delta_rows", "tombstones", "lsn_high", "file_stats"}
     partitions: dict[str, dict[str, Any]] = field(default_factory=dict)
     # lineage: one record per committed epoch
     epochs: list[dict[str, Any]] = field(default_factory=list)
@@ -137,8 +153,7 @@ class Manifest:
         return m
 
     def _apply_record(self, rec: dict[str, Any]) -> None:
-        for k, res in rec["state"].items():
-            self.partitions[k] = res
+        self.fold(self.partitions, rec["epoch"])
         self.epochs.append(rec["epoch"])
         if rec.get("registry"):
             self._fold_registry(rec["registry"])
@@ -175,7 +190,7 @@ class Manifest:
         out: set[str] = set()
         for e in self.epochs:
             if e.get("version", -1) > version:
-                out.update(e.get("files", {}))
+                out.update(e.get("partitions", {}))
         return out
 
     def committed_epoch_ids(self) -> set[str]:
@@ -217,26 +232,52 @@ class Manifest:
             f"epoch {as_of!r} not in lineage ({len(self.epochs)} epochs "
             "retained; truncate_lineage() drops old snapshots)")
 
+    @staticmethod
+    def fold(parts: dict[str, dict[str, Any]], epoch: dict[str, Any]) -> None:
+        """Fold one lineage record into ``parts`` (partition id → state) —
+        the one rule for how a partition's state moves from one epoch to
+        the next. An ``add`` entry appends its files and stats to the
+        prior state and adds its counters; any other entry replaces the
+        state with its ``files`` and counters. ``tombstones`` is None
+        after a replacement that does not record it (pre-round-4 lineage:
+        readers must then assume tombstones may exist)."""
+        recs = epoch.get("partitions", {})
+        if "files" in epoch:
+            # legacy record: the full file sets sit in a top-level map and
+            # the entries carry cumulative counters — a replacement
+            recs = {k: {**recs.get(k, {}), "files": files}
+                    for k, files in epoch["files"].items()}
+        for k, r in recs.items():
+            if "add" in r:
+                prev = parts.get(k, {})
+                parts[k] = {
+                    "files": [*prev.get("files", ()), *r["add"]],
+                    **{c: (prev.get(c) or 0) + r.get(c, 0)
+                       for c in ("rows", "delta_rows", "tombstones")},
+                    "lsn_high": max(prev.get("lsn_high", -1), r["lsn_high"]),
+                    "file_stats": {**(prev.get("file_stats") or {}),
+                                   **(r.get("file_stats") or {})},
+                }
+            else:
+                parts[k] = {
+                    "files": list(r["files"]),
+                    "rows": r.get("rows", 0),
+                    "delta_rows": r.get("delta_rows", 0),
+                    "tombstones": r.get("tombstones"),
+                    "lsn_high": r.get("lsn_high", -1),
+                    "file_stats": r.get("file_stats") or {},
+                }
+
     def state_as_of(self, as_of: "str | int") -> dict[str, dict[str, Any]]:
         """Reconstruct the per-partition live state as of a committed epoch
-        (inclusive): each epoch record stores the FULL replacement file set
-        of every partition it touched, so the snapshot is the last record
-        per partition in the prefix. Returns ``{part: {"files": [...],
-        "tombstones": int|None, ...}}``; ``tombstones`` is None for
-        pre-round-4 lineage records (readers must then assume tombstones
-        may exist). Snapshots reference historical data files — they stay
-        readable until ``optimize()``/``gc()`` collect superseded files
-        (VACUUM semantics)."""
-        idx = self.resolve_epoch(as_of)
+        (inclusive) by folding the lineage prefix (:meth:`fold`). Returns
+        the same shape as :attr:`partitions`. Snapshots reference
+        historical data files — they stay readable until
+        ``optimize()``/``gc()`` collect superseded files (VACUUM
+        semantics)."""
         parts: dict[str, dict[str, Any]] = {}
-        for e in self.epochs[: idx + 1]:
-            recs = e.get("partitions", {})
-            for k, files in e.get("files", {}).items():
-                rec = dict(recs.get(k, {}))
-                rec["files"] = files
-                if "tombstones" not in rec:
-                    rec["tombstones"] = None
-                parts[k] = rec
+        for e in self.epochs[: self.resolve_epoch(as_of) + 1]:
+            self.fold(parts, e)
         return parts
 
     def lsn_high(self) -> int:
@@ -267,24 +308,7 @@ class Manifest:
             "lsn_max": lsn_max,
             **({"meta": meta} if meta else {}),
             "committed_at": time.time(),
-            "partitions": {
-                k: {
-                    "rows": r["rows"],
-                    "lsn_high": r["lsn_high"],
-                    "checksum": r["checksum"],
-                    # round-4 fields: cumulative tombstone/delta counts
-                    # (time-travel fast-path gate) and this epoch's own
-                    # output files (change-data-feed source)
-                    **{
-                        f: r[f]
-                        for f in ("tombstones", "delta_rows", "mode",
-                                  "new_file", "cdf_file", "file_stats")
-                        if f in r
-                    },
-                }
-                for k, r in part_results.items()
-            },
-            "files": {k: r["files"] for k, r in part_results.items()},
+            "partitions": part_results,
         }
 
     def try_commit_epoch(
@@ -297,6 +321,8 @@ class Manifest:
         registry_json: str | None = None,
     ) -> bool:
         """CAS-commit one epoch at version ``self.version + 1``.
+        ``part_results`` are the epoch's lineage entries per partition
+        (see :meth:`fold`).
 
         Returns True on success (state updated, snapshot refreshed). On a
         lost race — another writer claimed the version first — reloads the
@@ -314,16 +340,13 @@ class Manifest:
             "num_partitions": self.num_partitions,
             "epoch": self._epoch_record(
                 epoch_id, lsn_min, lsn_max, part_results, meta, claim),
-            # full replacement records — callers own the field set
-            # (files/rows/delta_rows/tombstones/lsn_high/checksum/…)
-            "state": {k: dict(r) for k, r in part_results.items()},
             **({"registry": registry_json} if registry_json else {}),
         }
         logd = self.log_dir
         os.makedirs(logd, exist_ok=True)
         tmp = os.path.join(logd, f".tmp-{uuid.uuid4().hex}")
         with open(tmp, "w") as f:
-            json.dump(rec, f)
+            f.write(json.dumps(rec))
             f.flush()
             os.fsync(f.fileno())
         final = os.path.join(logd, f"v{claim:020d}.json")
@@ -365,43 +388,49 @@ class Manifest:
         part_results: dict[str, dict[str, Any]],
         meta: dict[str, Any] | None = None,
         registry_json: str | None = None,
-    ) -> None:
-        """Publish an epoch, retrying lost CAS races. Safe-by-default
-        conflict rule: if a concurrent commit touched any of OUR
-        partitions, the retry would publish state computed from a stale
-        base — raise :class:`ConcurrentModificationError` instead (callers
-        with composable semantics, e.g. the lake's append/delta rebase,
-        drive :meth:`try_commit_epoch` directly)."""
+    ) -> bool:
+        """Publish an epoch, retrying lost CAS races. Returns True once
+        this call committed it, False if another writer committed the same
+        epoch id first (exactly-once: the caller's output is orphaned).
+
+        Conflict rule: ``add`` entries compose with any concurrent commit
+        (new files on top of whatever the partition holds; LWW-by-lsn
+        resolves the merge), so the same record retries. A replacement
+        entry was computed from a base that a concurrent commit to its
+        partition has since changed — publishing it would drop that
+        commit's changes — so it raises :class:`ConcurrentModificationError`
+        instead."""
         while True:
             base_version = self.version
             if self.try_commit_epoch(epoch_id, lsn_min, lsn_max,
                                      part_results, meta=meta,
                                      registry_json=registry_json):
-                return
+                return True
             if epoch_id in self.committed_epoch_ids():
-                return  # another process committed this very epoch
-            overlap = self.touched_since(base_version) & set(part_results)
-            if overlap:
+                return False
+            conflicted = sorted(
+                k for k in self.touched_since(base_version) & set(part_results)
+                if "add" not in part_results[k])
+            if conflicted:
                 raise ConcurrentModificationError(
-                    f"epoch {epoch_id!r}: partitions {sorted(overlap)} were "
-                    "modified by a concurrent writer; re-run against the "
-                    "new base")
+                    f"epoch {epoch_id!r}: partitions {conflicted} were "
+                    "modified by a concurrent writer since this epoch read "
+                    "them; re-run it (idempotent by epoch id) to recompute "
+                    "against the new base")
 
     def _atomic_write(self) -> None:
         tmp = self.path + f".tmp-{uuid.uuid4().hex[:8]}"
         with open(tmp, "w") as f:
-            json.dump(
-                {
-                    "num_partitions": self.num_partitions,
-                    "partitions": self.partitions,
-                    "epochs": self.epochs,
-                    "version": self.version,
-                    **({"registry_json": self.registry_json}
-                       if self.registry_json else {}),
-                },
-                f,
-                indent=1,
-            )
+            # json.dumps, not json.dump: only the one-shot call without
+            # indent runs the C encoder (about 4x faster on a large snapshot)
+            f.write(json.dumps({
+                "num_partitions": self.num_partitions,
+                "partitions": self.partitions,
+                "epochs": self.epochs,
+                "version": self.version,
+                **({"registry_json": self.registry_json}
+                   if self.registry_json else {}),
+            }))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, self.path)

@@ -82,6 +82,48 @@ def test_time_travel_across_delta_epochs(ray_session, tmp_path):
     _eq(lake.final_table(as_of="tail"), naive_apply(changes))
 
 
+def test_record_size_independent_of_history(ray_session, tmp_path):
+    """A lineage record carries what its epoch changed: the sixth delta
+    epoch's log record is no larger than the first one's, although each
+    partition then holds seven files."""
+    changes = gen_changes(20_000, seed=37)
+    root = str(tmp_path / "lake")
+    lake = LakeTable(root, num_partitions=4)
+    lake.apply_changes(_split(changes, 0, 14_000), epoch_id="base")
+    for i in range(6):
+        lo = 14_000 + 1000 * i
+        lake.apply_changes(_split(changes, lo, lo + 1000),
+                           epoch_id=f"d{i}", delta_ratio=0.5)
+    for e in lake.manifest.epochs[1:]:
+        assert {r["mode"] for r in e["partitions"].values()} == {"delta"}
+    assert all(len(i["files"]) == 7
+               for i in lake.manifest.partitions.values())
+    logd = os.path.join(root, "_log")
+    first, last = (os.path.getsize(os.path.join(logd, f"v{v:020d}.json"))
+                   for v in (2, 7))
+    assert last <= 1.5 * first, (first, last)
+    _eq(lake.final_table(), naive_apply(changes))
+
+
+def test_metrics_rows_are_rows_written(ray_session, tmp_path):
+    changes = gen_changes(20_000, seed=13)
+    root = str(tmp_path / "lake")
+    lake = LakeTable(root, num_partitions=4)
+    base, tail = _split(changes, 0, 19_000), _split(changes, 19_000, 20_000)
+    r1 = lake.apply_changes(base, epoch_id="base")
+    r2 = lake.apply_changes(tail, epoch_id="tail", delta_ratio=0.5)
+    assert {r["mode"] for r in lake.manifest.epochs[-1]["partitions"].values()
+            } == {"delta"}
+    # full epoch: the live rows it wrote; delta epoch: its delta files'
+    # rows — one per key it changed, delete tombstones included
+    want = [naive_apply(base).num_rows, len(_net_changes(tail))]
+    assert [r1["rows_live"], r2["rows_live"]] == want
+    for lk in (lake, LakeTable(root)):
+        m = lk.metrics().to_pandas()
+        assert m["epoch_id"].tolist() == ["base", "tail"]
+        assert m["rows"].tolist() == want
+
+
 def test_optimize_publishes_lineage_snapshot(ray_session, tmp_path):
     changes = gen_changes(6_000, seed=17)
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)

@@ -395,3 +395,94 @@ def test_truncate_compacts_log(ray_session, tmp_path):
     # commits continue past the fold
     lake.apply_changes(_changes(["c9"], 1, lsn0=99), epoch_id="e9")
     assert LakeTable(root).manifest.version == 6
+
+
+def _write_legacy(root, snapshot_version):
+    """Rewrite a root in the format written before lineage records were
+    lean: every record carries its partitions' cumulative state (counters
+    and the stats of every live file), the full file sets sit in a
+    top-level ``files`` map, and each log record repeats the state in a
+    ``state`` block. The snapshot folds only the first
+    ``snapshot_version`` records; load replays the rest from the log."""
+    m = Manifest.load(root)
+    epochs, states = [], []
+    for i, e in enumerate(m.epochs):
+        st = m.state_as_of(i)
+        state = {k: {**st[k], **{f: r[f] for f in ("mode", "new_file",
+                                                    "cdf_file", "checksum")
+                                  if f in r}}
+                 for k, r in e["partitions"].items()}
+        epochs.append({
+            **e,
+            "partitions": {k: {f: v for f, v in r.items() if f != "files"}
+                           for k, r in state.items()},
+            "files": {k: r["files"] for k, r in state.items()},
+        })
+        states.append(state)
+    logd = os.path.join(root, "_log")
+    for v, (e, state) in enumerate(zip(epochs, states), start=1):
+        with open(os.path.join(logd, f"v{v:020d}.json"), "w") as f:
+            json.dump({"version": v, "num_partitions": m.num_partitions,
+                       "epoch": e, "state": state}, f)
+    with open(os.path.join(root, "_manifest.json"), "w") as f:
+        json.dump({"num_partitions": m.num_partitions,
+                   "partitions": m.state_as_of(snapshot_version - 1),
+                   "epochs": epochs[:snapshot_version],
+                   "version": snapshot_version,
+                   "registry_json": m.registry_json}, f)
+
+
+def test_legacy_cumulative_root_loads_and_folds(ray_session, tmp_path,
+                                                monkeypatch):
+    root = str(tmp_path / "lake")
+    P = 4
+    conv = _convs_for_parts({0}, P, count=1)[0]
+    other = _convs_for_parts({1}, P, count=1)[0]
+    base = _changes([conv, other], 200, lsn0=0)
+    e1 = _changes([conv], 2, lsn0=1000, text="d1")  # 2 ≪ 0.2·200 → delta
+    lake = LakeTable(root, num_partitions=P)
+    lake.apply_changes(base, epoch_id="base")
+    lake.apply_changes(e1, epoch_id="e1")
+    lean = [lake.manifest.state_as_of(i) for i in range(2)]
+    _write_legacy(root, snapshot_version=1)
+    with open(os.path.join(root, "_log", f"v{2:020d}.json")) as f:
+        legacy = json.load(f)
+    part = str(stable_part_of_uniques([conv], P)[0])
+    assert legacy["state"] and legacy["epoch"]["files"]
+    assert legacy["epoch"]["partitions"][part]["rows"] == 200  # cumulative
+
+    old = LakeTable(root)
+    assert old.manifest.version == 2
+    assert _got(old) == _expected([base, e1])
+    for i, prefix in enumerate([[base], [base, e1]]):
+        state = old.manifest.state_as_of(i)
+        assert {k: s["files"] for k, s in state.items()} == {
+            k: s["files"] for k, s in lean[i].items()}
+        t = old.final_table(as_of=i)
+        assert list(zip(t.column("conv_id").to_pylist(),
+                        t.column("turn_idx").to_pylist(),
+                        t.column("text").to_pylist())) == _expected(prefix)
+
+    # two writers' lean delta epochs race on top of the legacy lineage:
+    # the lost CAS retries the same additive record
+    a, b = LakeTable(root), LakeTable(root)
+    e2 = _changes([conv], 2, lsn0=2000, text="a")
+    e3 = _changes([conv], 2, lsn0=3000, text="b")
+    _race_barrier(monkeypatch)
+    res = _apply_in_threads([(a, e2, "e2"), (b, e3, "e3")])
+    monkeypatch.undo()
+    for r, exc in res:
+        assert exc is None, exc
+        assert not r.get("skipped")
+    fresh = LakeTable(root)
+    assert fresh.manifest.version == 4
+    assert _got(fresh) == _expected([base, e1, e2, e3])
+    for e in fresh.manifest.epochs[2:]:
+        assert "files" not in e and set(e["partitions"]) == {part}
+        assert e["partitions"][part]["add"] and e["partitions"][part]["rows"] == 0
+    assert len(fresh.manifest.partitions[part]["files"]) == 4
+    assert fresh.manifest.partitions[part]["rows"] == 200
+    # replay of every epoch id is a no-op, old and new
+    for tbl, eid in ((base, "base"), (e1, "e1"), (e2, "e2")):
+        assert fresh.apply_changes(tbl, epoch_id=eid)["skipped"] is True
+    assert _got(LakeTable(root)) == _expected([base, e1, e2, e3])

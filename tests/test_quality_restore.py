@@ -5,6 +5,7 @@ epochs, libtenzir/src/active_partition.cpp:103)."""
 
 import os
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -123,14 +124,29 @@ def test_restore_to_version_and_roll_forward(ray_session, tmp_path):
     changes = gen_changes(6000, seed=11)
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
     e1, e2 = _split(changes, 0, 3000), _split(changes, 3000, 6000)
-    lake.apply_changes(e1, epoch_id="e1")
-    lake.apply_changes(e2, epoch_id="e2")
+    lake.apply_changes(e1, epoch_id="e1", change_feed=True)
+    lake.apply_changes(e2, epoch_id="e2", change_feed=True)
+    feed = lake.changes().to_pandas().sort_values("_lsn", ignore_index=True)
+    snap = lake.manifest.state_as_of("e1")
 
     rec = lake.restore("e1")
     assert rec["skipped"] is False and rec["partitions_touched"] >= 1
     _eq(lake.final_table(), naive_apply(e1))
+    # the restore's lineage record is a clean replacement: the snapshot's
+    # files and their stats, no feed file or written file of its own
+    restored = lake.manifest.epochs[-1]["partitions"]
+    assert set(restored) == set(snap)
+    for k, r in restored.items():
+        assert r["mode"] == "restore"
+        assert r["files"] == snap[k]["files"]
+        assert set(r["file_stats"]) == set(r["files"])
+        assert "cdf_file" not in r and "new_file" not in r
     # restore is itself an epoch: time travel across it still works
+    _eq(lake.final_table(as_of="e1"), naive_apply(e1))
     _eq(lake.final_table(as_of="e2"), naive_apply(changes))
+    # ...and it applied no changes of its own to the feed
+    after = lake.changes().to_pandas().sort_values("_lsn", ignore_index=True)
+    pd.testing.assert_frame_equal(after, feed)
     # roll FORWARD again by restoring the later snapshot
     lake.restore("e2", epoch_id="fwd")
     _eq(lake.final_table(), naive_apply(changes))
