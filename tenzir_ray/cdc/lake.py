@@ -11,8 +11,10 @@ Physical layout (reference analog: one store file per partition +
 catalog, libtenzir/src/active_partition.cpp:103-187)::
 
     root/
-      _manifest.json          # two-phase commit + lineage (manifest.py)
-      _registry.json          # schema registry state
+      _log/v<N>.json          # commit N: one lineage record + registry
+                              #   (manifest.py; the only metadata a
+                              #   commit writes)
+      _manifest.json          # checkpoint: folded state up to some N
       part=<k>/epoch-<id>-<uuid>.parquet     # base file (live iff in manifest)
       part=<k>/delta-<id>-<uuid>.parquet     # delta file: LWW-reduced changes
                                              #   incl. delete tombstones (_op);
@@ -66,11 +68,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from tenzir_ray.cdc.manifest import (
-    MANIFEST_NAME,
-    REGISTRY_NAME,
-    Manifest,
-)
+from tenzir_ray.cdc.manifest import REGISTRY_NAME, Manifest
 from tenzir_ray.cdc.registry import SchemaRegistry
 
 META_COLS = ("lsn", "op")
@@ -793,7 +791,7 @@ class LakeTable:
             m = Manifest(root=root, num_partitions=num_partitions)
         self.manifest = m
         self.num_partitions = m.num_partitions
-        reg_path = os.path.join(root, REGISTRY_NAME)
+        reg_path = os.path.join(root, REGISTRY_NAME)  # legacy roots only
         if os.path.exists(reg_path):
             with open(reg_path) as f:
                 self.registry = SchemaRegistry.from_json(f.read())
@@ -803,10 +801,11 @@ class LakeTable:
 
     def refresh(self) -> None:
         """Resync this instance with the published state — pick up commits
-        made by OTHER writers (processes/instances) since construction.
-        ``apply_changes``/``optimize`` refresh automatically; reads are
-        snapshot-consistent against the state last seen (call this to see
-        newer commits)."""
+        made by OTHER writers (processes/instances) since construction, by
+        folding the log records newer than this instance's version
+        (``Manifest.reload``). ``apply_changes``/``optimize`` refresh
+        automatically; reads are snapshot-consistent against the state
+        last seen (call this to see newer commits)."""
         self.manifest.reload()
         self._sync_registry()
 
@@ -939,7 +938,6 @@ class LakeTable:
             return {"epoch_id": epoch_id, "lsn_min": -1, "lsn_max": -1,
                     "partitions_touched": 0, "rows_live": 0,
                     "num_salts": int(num_salts)}
-        self._persist_registry()
         reg_json = self.registry.to_json()
         payload_cols = list(self.registry.schema.names)
 
@@ -1134,15 +1132,20 @@ class LakeTable:
         return 0, None
 
     # ------------------------------------------------------------------
-    def _has_deltas(self) -> bool:
-        # append-only partitions keep the fast path at any file count:
-        # their files are pure payload+lsn with (by contract) disjoint
-        # keys, so concatenation IS the live state. Only pending delta
-        # rows or surviving tombstones force merge-on-read.
+    def _has_deltas(self, state: "dict | None" = None) -> bool:
+        """Whether reading ``state`` (default: the live state) needs
+        merge-on-read. Append-only partitions keep the fast path at any
+        file count: their files are pure payload+lsn with (by contract)
+        disjoint keys, so concatenation IS the live state. Only pending
+        delta rows or surviving tombstones force the merge — or
+        ``tombstones=None``, a pre-round-4 record whose tombstone count
+        is unknown."""
         return any(
-            (info.get("delta_rows", 0) or 0) > 0
-            or (info.get("tombstones", 0) or 0) > 0
-            for info in self.manifest.partitions.values()
+            (info.get("delta_rows") or 0) > 0
+            or info.get("tombstones") is None
+            or info["tombstones"] > 0
+            for info in (self.manifest.partitions if state is None
+                         else state).values()
         )
 
     def read(self, columns: list[str] | None = None,
@@ -1180,31 +1183,15 @@ class LakeTable:
         merge before any predicate."""
         import ray.data
 
-        if as_of is None:
-            state = self.manifest.partitions
-            has_deltas = self._has_deltas()
-        else:
-            state = self.manifest.state_as_of(as_of)
-            # tombstones=None → pre-round-4 lineage record: tombstone
-            # presence unknown, the merge path is always correct
-            has_deltas = any(
-                len(info.get("files", [])) > 1
-                or info.get("tombstones") is None
-                or (info.get("tombstones", 0) or 0) > 0
-                for info in state.values()
-            )
+        state = (self.manifest.partitions if as_of is None
+                 else self.manifest.state_as_of(as_of))
         if parts is not None:
             # partition-subset read (e.g. search()'s bloom pruning).
             # Subsetting whole PARTITIONS is always LWW-sound — every
             # version and tombstone of a key lives in its key's partition
             keep = {int(p) for p in parts}
             state = {k: v for k, v in state.items() if int(k) in keep}
-            if as_of is None:  # mirror _has_deltas over the subset
-                has_deltas = any(
-                    (info.get("delta_rows", 0) or 0) > 0
-                    or (info.get("tombstones", 0) or 0) > 0
-                    for info in state.values()
-                )
+        has_deltas = self._has_deltas(state)
 
         residual = None
         flt_obj = None
@@ -1790,7 +1777,7 @@ class LakeTable:
         """Shallow clone (Delta-Lake ``CLONE`` analog): hardlink every
         file under the root — live partitions, historical epoch file
         sets (time travel works in the clone), delta/``_cdf`` feed
-        files — plus the manifest and schema registry. Zero data bytes
+        files — plus the checkpoint and commit log. Zero data bytes
         copied on the same filesystem (cross-FS falls back to copy).
 
         Correct because data files are IMMUTABLE (uuid-named; an apply
@@ -1812,7 +1799,7 @@ class LakeTable:
             raise ValueError(
                 f"clone target {dest_root!r} must not nest with the "
                 f"source root {self.root!r}")
-        if os.path.exists(os.path.join(dest_root, MANIFEST_NAME)):
+        if Manifest.load(dest_root) is not None:
             raise FileExistsError(f"clone target already a lake: {dest_root}")
         os.makedirs(dest_root, exist_ok=True)
         for dirpath, dirnames, filenames in os.walk(self.root):
@@ -2096,75 +2083,23 @@ class LakeTable:
         partition's state as of the horizon.
 
         Admin operation: run WITHOUT concurrent writers (like VACUUM) — it
-        rewrites the lineage prefix in the snapshot and compacts the
-        commit log. A very stale concurrent writer re-claiming a compacted
-        log version is detected and undone by the manifest's
-        folded-history guard (manifest.py try_commit_epoch), but its
-        snapshot write could still resurrect dropped lineage records."""
+        writes a new checkpoint and deletes the log records it folds
+        (``Manifest.truncate_lineage``). A very stale concurrent writer
+        re-claiming a deleted log version is detected and undone by the
+        manifest's folded-history guard (manifest.py try_commit_epoch)."""
         self.manifest.reload()
-        dropped = max(0, len(self.manifest.epochs) - keep_epochs)
-        if dropped:
-            prefix = self.manifest.epochs[:dropped]
-            for e in prefix:
-                for rec in e.get("partitions", {}).values():
-                    cdf = rec.get("cdf_file")
-                    if cdf and cdf.startswith("_cdf/"):
-                        try:
-                            os.remove(os.path.join(self.root, cdf))
-                        except FileNotFoundError:
-                            pass
-            # the dropped prefix folds into one synthetic base record of
-            # replacement entries, so time travel to any RETAINED epoch
-            # stays complete — without it, a partition last touched before
-            # the horizon silently vanishes from state_as_of()
-            base = {
-                "epoch_id": f"_base-{prefix[-1]['epoch_id']}",
-                "seq": max(e.get("seq", i) for i, e in enumerate(prefix)),
-                "lsn_min": -1,
-                "lsn_max": -1,
-                "meta": {"_compaction": True, "_lineage_base": True},
-                "committed_at": time.time(),
-                "partitions": self.manifest.state_as_of(dropped - 1),
-            }
-            self.manifest.epochs = [base] + self.manifest.epochs[dropped:]
-            self.manifest._atomic_write()
-            # the snapshot just written folds every log record ≤ version:
-            # compact the commit log so it stays bounded by the lineage
-            # retention (a stale writer re-claiming a compacted number is
-            # caught by the manifest's folded-history guard)
-            logd = self.manifest.log_dir
-            if os.path.isdir(logd):
-                for fn in os.listdir(logd):
-                    if fn.startswith("v") and fn.endswith(".json"):
-                        try:
-                            v = int(fn[1:-5])
-                        except ValueError:
-                            continue
-                        if v <= self.manifest.version:
-                            try:
-                                os.remove(os.path.join(logd, fn))
-                            except FileNotFoundError:
-                                pass
-        return dropped
-
-    def _persist_registry(self) -> None:
-        """Write the registry cache file, folding in whatever is already
-        on disk first (evolve is a lattice join) so concurrent writers
-        adding different columns don't clobber each other's entries. The
-        AUTHORITATIVE registry rides the commit log (manifest.py); this
-        file is a convenience cache for fresh instances and legacy roots."""
-        p = os.path.join(self.root, REGISTRY_NAME)
-        try:
-            with open(p) as f:
-                on_disk = SchemaRegistry.from_json(f.read())
-            if on_disk.schema is not None:
-                self.registry.evolve(on_disk.schema)
-        except FileNotFoundError:
-            pass
-        tmp = p + f".tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
-            f.write(self.registry.to_json())
-        os.replace(tmp, p)
+        prefix = self.manifest.truncate_lineage(keep_epochs)
+        # after the checkpoint: a crash in between leaves orphan feed
+        # files, never lineage that names deleted ones
+        for e in prefix:
+            for rec in e.get("partitions", {}).values():
+                cdf = rec.get("cdf_file")
+                if cdf and cdf.startswith("_cdf/"):
+                    try:
+                        os.remove(os.path.join(self.root, cdf))
+                    except FileNotFoundError:
+                        pass
+        return len(prefix)
 
 
 import sys as _sys

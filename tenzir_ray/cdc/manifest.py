@@ -38,15 +38,19 @@ analog): commits are serialized through a versioned log directory
 ``os.link``-ing a fully-written temp file to the log name — atomic
 create-with-content on POSIX, so a half-written record can never be
 observed and exactly ONE writer wins each version (``FileExistsError``
-is the CAS failure). ``_manifest.json`` becomes a snapshot CACHE: it
-carries the folded state up to some version, and :meth:`load` replays
-any newer log records on top, so a crash between log-append and
-snapshot-write loses nothing. Conflicts (:meth:`commit_epoch`): ``add``
-entries compose with concurrent commits under LWW and retry unchanged;
-a replacement of a partition a concurrent commit touched raises
-:class:`ConcurrentModificationError`. Schema-registry deltas ride the
-log record and fold via the evolve lattice join (commutative), so two
-writers adding different columns converge.
+is the CAS failure). The log record is the only metadata file a commit
+writes. ``_manifest.json`` is a CHECKPOINT: the folded state up to some
+version, written by the commit that creates the table and by
+:meth:`truncate_lineage` (which then deletes the records it folds).
+:meth:`load` reads the checkpoint and folds the records after it;
+:meth:`reload` folds only the records after this instance's version
+(Flink's checkpoint plus change log, VLDB 2017). Conflicts
+(:meth:`commit_epoch`): ``add`` entries compose with concurrent commits
+under LWW and retry unchanged; a replacement of a partition a
+concurrent commit touched raises :class:`ConcurrentModificationError`.
+Schema-registry deltas ride the log record and fold via the evolve
+lattice join (commutative), so two writers adding different columns
+converge.
 """
 
 from __future__ import annotations
@@ -61,6 +65,10 @@ from typing import Any
 MANIFEST_NAME = "_manifest.json"
 REGISTRY_NAME = "_registry.json"
 LOG_DIR = "_log"
+
+
+def _identity(st: os.stat_result) -> tuple:
+    return st.st_ino, st.st_mtime_ns, st.st_size
 
 
 class ConcurrentModificationError(RuntimeError):
@@ -88,6 +96,12 @@ class Manifest:
     # every writer's evolve) — None on legacy roots whose registry only
     # lives in _registry.json
     registry_json: str | None = None
+    # identity (inode, mtime, size) of the checkpoint this instance last
+    # read or wrote, None if there was none: while it holds, reload()
+    # folds only newer log records; a changed one means truncate_lineage
+    # may have folded and deleted records, so reload() loads in full
+    _checkpoint: "tuple | None" = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def path(self) -> str:
@@ -97,13 +111,33 @@ class Manifest:
     def log_dir(self) -> str:
         return os.path.join(self.root, LOG_DIR)
 
+    def _checkpoint_on_disk(self) -> "tuple | None":
+        try:
+            return _identity(os.stat(self.path))
+        except FileNotFoundError:
+            return None
+
+    def _record_path(self, version: int) -> str:
+        return os.path.join(self.log_dir, f"v{version:020d}.json")
+
     @classmethod
     def load(cls, root: str) -> "Manifest | None":
-        p = os.path.join(root, MANIFEST_NAME)
-        m = None
-        if os.path.exists(p):
-            with open(p) as f:
+        """The published state: the checkpoint plus every log record after
+        it, or the log alone when no checkpoint was written (a crash
+        between the first commit's link and its checkpoint). None if
+        ``root`` holds no table."""
+        try:
+            with open(os.path.join(root, MANIFEST_NAME)) as f:
+                ckpt = _identity(os.fstat(f.fileno()))
                 d = json.load(f)
+        except FileNotFoundError:
+            m = cls(root=root, num_partitions=0)
+            try:
+                with open(m._record_path(1)) as f:
+                    m.num_partitions = json.load(f)["num_partitions"]
+            except FileNotFoundError:
+                return None
+        else:
             m = cls(
                 root=root,
                 num_partitions=d["num_partitions"],
@@ -115,42 +149,20 @@ class Manifest:
                 version=d.get("version", len(d["epochs"])),
                 registry_json=d.get("registry_json"),
             )
-        m2 = cls._replay_log(root, m)
-        return m2 if m2 is not None else m
-
-    @classmethod
-    def _replay_log(cls, root: str, m: "Manifest | None") -> "Manifest | None":
-        """Fold commit-log records newer than the snapshot into ``m``.
-        Handles the crash-before-first-snapshot case (``m is None`` but
-        ``_log/v...1.json`` exists) by bootstrapping from the log."""
-        logd = os.path.join(root, LOG_DIR)
-        if not os.path.isdir(logd):
-            return m
-        recs: dict[int, str] = {}
-        for fn in os.listdir(logd):
-            if fn.startswith("v") and fn.endswith(".json"):
-                try:
-                    recs[int(fn[1:-5])] = fn
-                except ValueError:
-                    continue
-        if not recs:
-            return m
-        if m is None:
-            first = recs.get(1)
-            if first is None:
-                return None
-            with open(os.path.join(logd, first)) as f:
-                rec = json.load(f)
-            m = cls(root=root, num_partitions=rec["num_partitions"])
-        # strictly sequential replay — versions are claimed via CAS so
-        # there are no gaps; stop defensively at one anyway
-        v = m.version + 1
-        while v in recs:
-            with open(os.path.join(logd, recs[v])) as f:
-                rec = json.load(f)
-            m._apply_record(rec)
-            v += 1
+            m._checkpoint = ckpt
+        m._fold_log()
         return m
+
+    def _fold_log(self) -> None:
+        """Fold ``v<version+1>``, ``v<version+2>``, … until one is missing:
+        versions are claimed by CAS, so the log has no gaps."""
+        while True:
+            try:
+                with open(self._record_path(self.version + 1)) as f:
+                    rec = json.load(f)
+            except FileNotFoundError:
+                return
+            self._apply_record(rec)
 
     def _apply_record(self, rec: dict[str, Any]) -> None:
         self.fold(self.partitions, rec["epoch"])
@@ -170,18 +182,21 @@ class Manifest:
         self.registry_json = cur.to_json()
 
     def reload(self) -> None:
-        """Re-read the published state (snapshot + any newer log records)
-        — the resync step after a lost CAS."""
-        m = Manifest.load(self.root)
-        if m is None:
-            self.partitions, self.epochs, self.version = {}, [], 0
-            self.registry_json = None
+        """Catch up with the published state: fold the log records newer
+        than this instance's version. Falls back to a full :meth:`load`
+        only when the checkpoint is not the one this instance last read
+        or wrote — a ``truncate_lineage`` may have folded and deleted
+        records under it."""
+        if self._checkpoint_on_disk() == self._checkpoint:
+            self._fold_log()
             return
+        m = Manifest.load(self.root) or Manifest(self.root, self.num_partitions)
         self.partitions = m.partitions
         self.epochs = m.epochs
         self.version = m.version
         self.registry_json = m.registry_json
         self.num_partitions = m.num_partitions
+        self._checkpoint = m._checkpoint
 
     def touched_since(self, version: int) -> set[str]:
         """Partition ids touched by commits newer than ``version`` — the
@@ -324,12 +339,12 @@ class Manifest:
         ``part_results`` are the epoch's lineage entries per partition
         (see :meth:`fold`).
 
-        Returns True on success (state updated, snapshot refreshed). On a
-        lost race — another writer claimed the version first — reloads the
-        published state and returns False; the CALLER decides whether to
-        rebase (append/delta epochs compose under LWW), skip (epoch id
-        already committed by the winner) or raise
-        :class:`ConcurrentModificationError` (overlapping full rewrite).
+        Returns True on success (state updated). On a lost race — another
+        writer claimed the version first — reloads the published state and
+        returns False; the CALLER decides whether to rebase (append/delta
+        epochs compose under LWW), skip (epoch id already committed by the
+        winner) or raise :class:`ConcurrentModificationError` (overlapping
+        full rewrite).
 
         ``registry_json`` (if the epoch evolved the schema) rides the
         record and folds commutatively on replay, so concurrent writers
@@ -342,14 +357,13 @@ class Manifest:
                 epoch_id, lsn_min, lsn_max, part_results, meta, claim),
             **({"registry": registry_json} if registry_json else {}),
         }
-        logd = self.log_dir
-        os.makedirs(logd, exist_ok=True)
-        tmp = os.path.join(logd, f".tmp-{uuid.uuid4().hex}")
+        os.makedirs(self.log_dir, exist_ok=True)
+        tmp = os.path.join(self.log_dir, f".tmp-{uuid.uuid4().hex}")
         with open(tmp, "w") as f:
             f.write(json.dumps(rec))
             f.flush()
             os.fsync(f.fileno())
-        final = os.path.join(logd, f"v{claim:020d}.json")
+        final = self._record_path(claim)
         try:
             # atomic create-with-content: link fails iff the name exists,
             # and the content is already durable — no half-written record
@@ -360,25 +374,19 @@ class Manifest:
             self.reload()
             return False
         os.unlink(tmp)
-        # folded-history guard: if an admin compact_log() deleted records
-        # ≤ some snapshot version, a long-stale writer could re-claim a
-        # folded number — its record would then be invisible to replay
-        # (replay starts after the snapshot version). Detect and undo.
-        snap_v = self._snapshot_version()
-        if snap_v is not None and snap_v >= claim:
+        # folded-history guard: a truncate_lineage that replaced the
+        # checkpoint since this instance read it deletes the records it
+        # folds, so a stale writer could re-claim a folded number — its
+        # record would then be invisible to replay (replay starts after
+        # the checkpoint's version). Undo the link and retry.
+        if self._checkpoint_on_disk() != self._checkpoint:
             os.unlink(final)
             self.reload()
             return False
         self._apply_record(rec)
-        self._atomic_write()  # snapshot cache; load() replays anything newer
+        if claim == 1:
+            self._atomic_write()  # the table's first checkpoint
         return True
-
-    def _snapshot_version(self) -> int | None:
-        try:
-            with open(self.path) as f:
-                return json.load(f).get("version", 0)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
 
     def commit_epoch(
         self,
@@ -418,11 +426,48 @@ class Manifest:
                     "them; re-run it (idempotent by epoch id) to recompute "
                     "against the new base")
 
+    def truncate_lineage(self, keep_epochs: int) -> list[dict[str, Any]]:
+        """Fold all but the last ``keep_epochs`` lineage records into one
+        base record of replacement entries (the state as of the horizon,
+        so time travel to any retained epoch stays complete), write the
+        checkpoint, then delete the log records it folds. Returns the
+        dropped records."""
+        dropped = max(0, len(self.epochs) - keep_epochs)
+        if not dropped:
+            return []
+        prefix = self.epochs[:dropped]
+        base = {
+            "epoch_id": f"_base-{prefix[-1]['epoch_id']}",
+            "seq": max(e.get("seq", i) for i, e in enumerate(prefix)),
+            # the newest folded version: a writer whose state predates it
+            # sees every partition as touched (touched_since), so its
+            # replacement entries conflict instead of dropping folded
+            # commits
+            "version": max(e.get("version", 0) for e in prefix),
+            "lsn_min": -1,
+            "lsn_max": -1,
+            "meta": {"_compaction": True, "_lineage_base": True},
+            "committed_at": time.time(),
+            "partitions": self.state_as_of(dropped - 1),
+        }
+        self.epochs = [base] + self.epochs[dropped:]
+        self._atomic_write()
+        logd = self.log_dir
+        for fn in os.listdir(logd) if os.path.isdir(logd) else ():
+            try:
+                if int(fn[1:-5]) <= self.version:
+                    os.remove(os.path.join(logd, fn))
+            except (ValueError, FileNotFoundError):
+                continue
+        return prefix
+
     def _atomic_write(self) -> None:
+        """Write the checkpoint (write-then-rename) and remember its
+        identity."""
         tmp = self.path + f".tmp-{uuid.uuid4().hex[:8]}"
         with open(tmp, "w") as f:
             # json.dumps, not json.dump: only the one-shot call without
-            # indent runs the C encoder (about 4x faster on a large snapshot)
+            # indent runs the C encoder (about 4x faster on a large checkpoint)
             f.write(json.dumps({
                 "num_partitions": self.num_partitions,
                 "partitions": self.partitions,
@@ -433,7 +478,9 @@ class Manifest:
             }))
             f.flush()
             os.fsync(f.fileno())
+            ckpt = _identity(os.fstat(f.fileno()))
         os.replace(tmp, self.path)
+        self._checkpoint = ckpt
 
 
 import sys as _sys

@@ -16,6 +16,7 @@ from tenzir_ray.cdc.broker import (
 )
 from tenzir_ray.cdc.generate import gen_changes
 from tenzir_ray.cdc.lake import LakeTable
+from tenzir_ray.cdc.manifest import Manifest
 from tenzir_ray.cdc.oracle import naive_apply
 
 PAYLOAD = ["conv_id", "turn_idx", "role", "text"]
@@ -158,8 +159,8 @@ def test_consume_partitioned_exactly_once_kill_resume(ray_session, tmp_path):
 
 
 def test_consume_commits_offsets_transactionally(ray_session, tmp_path):
-    """The offset checkpoint IS the manifest write: an epoch's meta and
-    data commit in one atomic file replace."""
+    """The offset checkpoint IS the commit: an epoch's meta and data
+    commit in one atomic log-record link."""
     changes = gen_changes(600, seed=5)
     b = FileBroker(str(tmp_path / "b"))
     b.create_topic("t", partitions=2)
@@ -169,8 +170,8 @@ def test_consume_commits_offsets_transactionally(ray_session, tmp_path):
     c = GroupConsumer(b, "t", "g", "c")
     consume_partitioned(lake, c, _parse, max_records=10_000, idle_limit=1,
                         poll_s=0)
-    man = json.load(open(tmp_path / "lake" / "_manifest.json"))
-    metas = [e["meta"] for e in man["epochs"] if e.get("meta")]
+    man = Manifest.load(str(tmp_path / "lake"))
+    metas = [e["meta"] for e in man.epochs if e.get("meta")]
     assert metas and all(
         m["topic"] == "t" and m["group"] == "g" and m["next"] > m["start"] >= 0
         for m in metas

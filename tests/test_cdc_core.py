@@ -3,7 +3,6 @@ exactly-once idempotence, crash recovery, multi-epoch resume, salting,
 schema evolution (SURVEY.md §7.2-§7.4)."""
 
 import glob
-import json
 import os
 
 import pyarrow as pa
@@ -12,6 +11,7 @@ import pytest
 
 from tenzir_ray.cdc.generate import gen_changes, gen_transcripts
 from tenzir_ray.cdc.lake import LakeTable
+from tenzir_ray.cdc.manifest import Manifest
 from tenzir_ray.cdc.oracle import naive_apply
 
 PAYLOAD = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
@@ -216,10 +216,9 @@ def test_manifest_atomic_and_lineage(ray_session, tmp_path):
     root = str(tmp_path / "lake")
     lake = LakeTable(root, num_partitions=2)
     lake.apply_changes(changes, epoch_id="e1")
-    with open(os.path.join(root, "_manifest.json")) as f:
-        m = json.load(f)
-    assert m["epochs"][0]["lsn_min"] == 0
-    assert m["epochs"][0]["lsn_max"] == 999
+    m = Manifest.load(root)
+    assert m.epochs[0]["lsn_min"] == 0
+    assert m.epochs[0]["lsn_max"] == 999
     assert not glob.glob(os.path.join(root, "_manifest.json.tmp*"))
 
 

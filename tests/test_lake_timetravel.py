@@ -350,6 +350,11 @@ def test_zone_map_file_pruning_append_only(ray_session, tmp_path):
     out = lake.read(filter_expr="turn_idx >= 2000").to_pandas()
     assert lake._last_read_pruned == 2      # two epoch files skipped
     assert len(out) == 100 and out["turn_idx"].min() == 2000
+    # time travel to the same state keeps the fast path and its pruning
+    for as_of in (-1, "e2"):
+        tt = lake.read(filter_expr="turn_idx >= 2000", as_of=as_of).to_pandas()
+        assert lake._last_read_pruned == 2
+        assert sorted(tt["turn_idx"]) == sorted(out["turn_idx"])
     mid = lake.read(filter_expr="turn_idx >= 1000 and turn_idx < 2000"
                     ).to_pandas()
     assert lake._last_read_pruned == 2

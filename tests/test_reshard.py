@@ -95,12 +95,12 @@ def test_reshard_kill_resume(ray_session, tmp_path):
 
 
 def test_reshard_propagates_token_blooms(ray_session, tmp_path):
-    import json
+    from tenzir_ray.cdc.manifest import Manifest
 
     lake = _src_lake(tmp_path, n=2000)
     dest = lake.reshard(str(tmp_path / "dst"), 3)
-    man = json.load(open(os.path.join(dest.root, "_manifest.json")))
-    blooms = [1 for info in man["partitions"].values()
+    man = Manifest.load(dest.root)
+    blooms = [1 for info in man.partitions.values()
               for st in (info.get("file_stats") or {}).values()
               if "_bloom:tok:text" in st]
     assert blooms
