@@ -11,7 +11,12 @@ $GRAFT_SF_DIR.
                                  # processes → scaling efficiency JSON line
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
-     RAY_GRAFT_CPUS (default 32), BENCH_CDC_EVENTS (default 1_000_000).
+     RAY_GRAFT_CPUS (default: the CPUs this process may run on),
+     BENCH_CDC_EVENTS (default 1_000_000).
+
+The last line always carries the environment the run saw: git sha,
+``nproc``, ``os.cpu_count()``, RAM and the 1-minute load average before
+and after.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-CDC_EVENTS = int(os.environ.get("BENCH_CDC_EVENTS", "16000000"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              str(len(os.sched_getaffinity(0)))))
+# sized for a 15 GB, 4-vCPU VM: 1M events applied in 3.9 s at 4 CPUs
+CDC_EVENTS = int(os.environ.get("BENCH_CDC_EVENTS", "1000000"))
 CACHE_DIR = "/tmp/tenzir_ray_bench"
 
 
@@ -157,10 +164,10 @@ def run_scaling() -> dict:
         reps = str(max(3, int(os.environ.get("BENCH_REPEAT", "2"))))
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), BENCH_SKIP_QUERIES="1",
                    BENCH_SKIP_SCALING="1", BENCH_REPEAT=reps)
-        # the scaling measurement needs a job large enough to amortize
-        # the fixed ~2.5s serial term (pipeline launch, metadata,
-        # commit): default to 32M events unless the caller pinned a size
-        env.setdefault("BENCH_CDC_EVENTS", "32000000")
+        # same log as the headline unless the caller pinned a size: it
+        # must amortize the fixed ~2.5s serial term (pipeline launch,
+        # metadata, commit), so pin a larger one where RAM allows
+        env.setdefault("BENCH_CDC_EVENTS", str(CDC_EVENTS))
         out = subprocess.run(
             [sys.executable, os.path.join(os.path.dirname(__file__), "bench.py")],
             env=env,
@@ -335,6 +342,7 @@ if __name__ == "__main__":
     elif "--incremental" in sys.argv:
         print(json.dumps(run_incremental()))
     else:
+        load_before = os.getloadavg()[0]
         res = run_bench()
         print(json.dumps(res), flush=True)
         # The driver keeps only the TAIL of stdout, so the giant full
@@ -365,4 +373,12 @@ if __name__ == "__main__":
                 compact["scaling_events"] = sc["events"]
             except Exception as e:  # never lose the headline record
                 compact["scaling_error"] = f"{type(e).__name__}: {e}"
+        from cdcbench import report
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = report.environment(here, CACHE_DIR)
+        compact.update({k: env[k] for k in ("git_sha", "nproc",
+                                            "os_cpu_count", "ram_bytes")})
+        compact["loadavg_1m_before"] = load_before
+        compact["loadavg_1m_after"] = os.getloadavg()[0]
         print(json.dumps(compact), flush=True)

@@ -24,9 +24,10 @@ Dataflow per epoch (one bounded chunk of the binlog)::
 
     read changes (Dataset, arrival order ≠ lsn order)
       → Exchange.run(transform=_NormalizeCombine)   # stages/exchange.py:
-        #   conform to the registry schema, PARTIAL LWW reduce within the
-        #   batch (combiner — first line of skew defense), tag each row
-        #   with its bucket, then hand the batch to the one packed
+        #   reject null keys/lsn/op, PARTIAL LWW reduce within the batch
+        #   (combiner — first line of skew defense), conform to the
+        #   registry schema, tag each row with its bucket, then hand the
+        #   batch to the one packed
         #   exchange (fs staging files or the object store). Partition k
         #   = crc32(conv_id) % P owns buckets [k*S, k*S+S); a cold
         #   partition uses only bucket k*S, a salted hot one spreads over
@@ -37,11 +38,17 @@ Dataflow per epoch (one bounded chunk of the binlog)::
         #   num_salts="auto" only the partitions whose recorded volume
         #   crossed the threshold last epoch are salted.
       → one Ray task per touched partition          # _PartitionReducer:
-        #   read its bucket (or take its salt pre-reduce outputs), merge
-        #   with the partition's live base rows, final LWW by lsn, sort
-        #   (conv_id, turn_idx), write the new partition file, emit a
-        #   lineage record
+        #   read its bucket (or take its salt pre-reduce outputs); a full
+        #   rewrite also loads the partition's live files. One kernel
+        #   call picks the LWW winners in (conv_id, turn_idx) order; the
+        #   mode only names the file (epoch-/delta-/append-). Write it,
+        #   emit a lineage record
       → driver collects the tiny lineage records → atomic manifest commit
+
+Every merge — the stage-1 combiner, the stage-1.5 pre-reduce, stage 2,
+merge-on-read, ``lookup``, ``final_table`` and ``optimize`` — is the one
+LWW kernel :func:`_winners`: one dictionary encode of ``conv_id``, one
+integer lexsort, winners out already key-sorted.
 
 Scale notes: P (num_partitions) is chosen so one partition's live rows
 fit a worker's heap (e.g. 64Ki partitions at 100 TB); an epoch is a
@@ -89,14 +96,14 @@ DEFAULT_SALT_THRESHOLD = 16_000_000
 AUTO_NUM_SALTS = 8
 
 
-def _factorize(col) -> tuple[np.ndarray, list[str]]:
-    """Dictionary-encode a string column in Arrow (C, no Python objects):
-    returns (codes int array, unique values)."""
+def _factorize(col) -> tuple[np.ndarray, pa.Array]:
+    """Dictionary-encode a column in Arrow (C, no Python objects):
+    returns (codes int array, dictionary of unique values)."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     d = arr.dictionary_encode()
     if isinstance(d, pa.ChunkedArray):
         d = d.combine_chunks()
-    return d.indices.to_numpy(zero_copy_only=False).astype(np.int64), d.dictionary.to_pylist()
+    return d.indices.to_numpy(zero_copy_only=False).astype(np.int64), d.dictionary
 
 
 def stable_part_of_uniques(uniq: list[str], num_partitions: int) -> np.ndarray:
@@ -109,26 +116,31 @@ def stable_part_of_uniques(uniq: list[str], num_partitions: int) -> np.ndarray:
     return (h % num_partitions).astype(np.int32)
 
 
-def _lww_mask(lsn: np.ndarray, conv: np.ndarray, turn: np.ndarray) -> np.ndarray:
-    """Boolean mask selecting, per (conv, turn) key, the single row with the
-    greatest lsn (ties → first occurrence; lsns are unique in a log).
+def _winners(tbl: pa.Table, drop_deletes: bool = False) -> pa.Table:
+    """The LWW kernel: per ``(conv_id, turn_idx)`` key, the row with the
+    greatest ``lsn`` (ties → first occurrence), returned in key order.
+    Delete tombstones stay winners unless ``drop_deletes``.
 
-    Vectorized on integer codes (strings are factorized once) — object
-    comparisons never touch the hot path."""
-    n = len(lsn)
+    ``conv_id`` is dictionary-encoded once and its dictionary ranked in
+    Arrow, so one integer lexsort both picks the winners and orders
+    them — no string ever becomes a Python object."""
+    n = tbl.num_rows
     if n == 0:
-        return np.zeros(0, dtype=bool)
-    codes = conv if np.issubdtype(conv.dtype, np.integer) else np.unique(conv, return_inverse=True)[1]
-    turn = np.asarray(turn, dtype=np.int64)
-    # lexsort: primary conv code, then turn, then lsn desc
-    order = np.lexsort((-lsn, turn, codes))
-    sc, st = codes[order], turn[order]
+        return tbl
+    codes, uniq = _factorize(tbl.column("conv_id"))
+    conv = pc.rank(uniq).to_numpy(zero_copy_only=False)[codes]
+    turn = tbl.column("turn_idx").to_numpy(zero_copy_only=False)
+    lsn = tbl.column("lsn").to_numpy(zero_copy_only=False)
+    order = np.lexsort((-lsn, turn, conv))
+    sc, st = conv[order], turn[order]
     first = np.empty(n, dtype=bool)
     first[0] = True
     first[1:] = (sc[1:] != sc[:-1]) | (st[1:] != st[:-1])
-    mask = np.zeros(n, dtype=bool)
-    mask[order[first]] = True
-    return mask
+    keep = order[first]
+    if drop_deletes:
+        op = tbl.column("op").take(keep)
+        keep = keep[pc.not_equal(op, "delete").to_numpy(zero_copy_only=False)]
+    return tbl.take(keep)
 
 
 #: exchange column carrying each stage-1 row's bucket (see _NormalizeCombine)
@@ -142,10 +154,10 @@ def _bucket_of(batch: pa.Table, num_buckets: int) -> np.ndarray:
 
 
 class _NormalizeCombine:
-    """Stage-1 exchange transform: conform payload to the registry schema,
-    partial-LWW-reduce the batch, and attach ``_bucket``: partition
-    ``k = crc32(conv_id) % P`` times ``num_salts``, plus ``lsn % num_salts``
-    when ``k`` is salted."""
+    """Stage-1 exchange transform: reject null keys/lsn/op, partial-LWW-
+    reduce the batch, conform the winners' payload to the registry schema,
+    and attach ``_bucket``: partition ``k = crc32(conv_id) % P`` times
+    ``num_salts``, plus ``lsn % num_salts`` when ``k`` is salted."""
 
     def __init__(self, registry_json: str, num_partitions: int, num_salts: int,
                  salt_parts: "frozenset[int] | None"):
@@ -158,64 +170,33 @@ class _NormalizeCombine:
         self.salt_parts = salt_parts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lsn = batch.column("lsn").to_numpy(zero_copy_only=False)
-        codes, uniq = _factorize(batch.column("conv_id"))
-        turn = batch.column("turn_idx").to_numpy(zero_copy_only=False)
-        mask = _lww_mask(lsn, codes, turn)
-        payload = self.registry.conform(batch.select(
-            [c for c in batch.column_names if c not in META_COLS]
-        ))
-        if mask.all():  # no intra-batch dupes → skip the copy entirely
-            idx = np.arange(len(lsn))
-            out = payload
-            op_col = batch.column("op").cast(pa.string())
-        else:
-            idx = np.flatnonzero(mask)
-            out = payload.take(idx)
-            op_col = batch.column("op").take(idx).cast(pa.string())
-        out = out.append_column("lsn", pa.array(lsn[idx], pa.int64()))
-        out = out.append_column("op", op_col)
-        part_of_uniq = stable_part_of_uniques(uniq, self.num_partitions)
-        part = part_of_uniq[codes[idx]]
+        for c in (*KEY_COLS, *META_COLS):
+            if batch.column(c).null_count:
+                # a null key or lsn has no place in the LWW order, and a
+                # null op would poison every later merge-on-read
+                raise ValueError(f"change batch has null {c!r} values")
+        win = _winners(batch)
+        out = self.registry.conform(win.select(
+            [c for c in win.column_names if c not in META_COLS]))
+        lsn = win.column("lsn").to_numpy(zero_copy_only=False)
+        out = out.append_column("lsn", pa.array(lsn, pa.int64()))
+        out = out.append_column("op", win.column("op").cast(pa.string()))
+        codes, uniq = _factorize(out.column("conv_id"))
+        part = stable_part_of_uniques(uniq.to_pylist(), self.num_partitions)[codes]
         bucket = part * np.int32(self.num_salts)
         if self.num_salts > 1:
-            salt = (lsn[idx] % self.num_salts).astype(np.int32)
+            salt = (lsn % self.num_salts).astype(np.int32)
             if self.salt_parts is not None:
                 salt[~np.isin(part, list(self.salt_parts))] = 0
             bucket += salt
         return out.append_column(BUCKET_COL, pa.array(bucket))
 
 
-def _lww_reduce_table(tbl: pa.Table) -> pa.Table:
-    """Keep only the max-lsn row per (conv, turn) key. Pure Arrow."""
-    codes, _ = _factorize(tbl.column("conv_id"))
-    mask = _lww_mask(
-        tbl.column("lsn").to_numpy(zero_copy_only=False),
-        codes,
-        tbl.column("turn_idx").to_numpy(zero_copy_only=False),
-    )
-    if mask.all():
-        return tbl
-    return tbl.filter(pa.array(mask))
-
-
-def _sorted_by_key(tbl: pa.Table) -> pa.Table:
-    """Stable (conv_id, turn_idx) order via integer dictionary ranks — the
-    dictionary (unique convs) is tiny relative to rows, so no string sort."""
-    if tbl.num_rows == 0:
-        return tbl
-    codes, uniq = _factorize(tbl.column("conv_id"))
-    uniq_order = np.argsort(np.asarray(uniq, dtype=object))
-    rank_of = np.empty(len(uniq), dtype=np.int64)
-    rank_of[uniq_order] = np.arange(len(uniq))
-    turn = tbl.column("turn_idx").to_numpy(zero_copy_only=False)
-    return tbl.take(pa.array(np.lexsort((turn, rank_of[codes]))))
-
-
 def _load_stored(root: str, rel: str, registry: SchemaRegistry,
                  filters=None) -> pa.Table:
-    """Load a lake file (base or delta) → conformed payload + lsn + op.
-    Base files carry implicit op=insert; delta files persist OP_COL.
+    """Load a lake file (base or delta) → conformed payload + lsn + op,
+    the row shape :func:`_winners` merges. Base files carry implicit
+    op=insert; delta files persist OP_COL.
     ``filters`` (pyarrow.parquet DNF) push into the scan — only safe for
     predicates that commute with the LWW merge, i.e. equality on the
     group-key prefix (conv_id): filtering keeps whole (conv, turn)
@@ -235,22 +216,27 @@ def _load_stored(root: str, rel: str, registry: SchemaRegistry,
     return payload.append_column("op", op_col)
 
 
-def _merge_live(tables: list[pa.Table]) -> pa.Table:
-    """Merge-on-read: concat (payload+lsn+op) tables, LWW by lsn per key,
-    drop deletes, stable key order. Output keeps lsn+op dropped."""
-    merged = pa.concat_tables(
-        [t.select(tables[0].column_names) for t in tables],
-        promote_options="permissive",
-    )
-    mask = _lww_mask(
-        merged.column("lsn").to_numpy(zero_copy_only=False),
-        _factorize(merged.column("conv_id"))[0],
-        merged.column("turn_idx").to_numpy(zero_copy_only=False),
-    )
-    alive = mask & pc.not_equal(merged.column("op"), "delete").to_numpy(
-        zero_copy_only=False
-    )
-    return _sorted_by_key(merged.filter(pa.array(alive)))
+def _live_rows(root: str, rels: list[str], registry: SchemaRegistry,
+               filters=None) -> pa.Table:
+    """Merge-on-read of one partition's files: the live rows (LWW winners,
+    tombstones dropped) as payload + lsn, in key order."""
+    tables = [_load_stored(root, rel, registry, filters) for rel in rels]
+    if not tables:
+        return registry.schema.empty_table().append_column(
+            "lsn", pa.array([], pa.int64()))
+    merged = pa.concat_tables(tables, promote_options="permissive")
+    return _winners(merged, drop_deletes=True).drop_columns(["op"])
+
+
+def _write_file(root: str, rel: str, tbl: pa.Table,
+                compression_level: int = 1) -> None:
+    """Write-then-rename (posix_filesystem.cpp:29): a crash never leaves a
+    partial file under a name the manifest could reference."""
+    path = os.path.join(root, rel)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(tbl, path + ".tmp", compression="zstd",
+                   compression_level=compression_level)
+    os.replace(path + ".tmp", path)
 
 
 #: per-file key bloom: bits are sized at ~10 per distinct conv (≈1% false
@@ -499,7 +485,7 @@ def _zorder_argsort(tbl: pa.Table, cols: list[str]) -> np.ndarray:
 
 def _salt_reduce(reducer: "_PartitionReducer", bucket: int) -> pa.Table:
     """Stage 1.5 task: LWW-reduce one salted sub-bucket of a hot partition."""
-    return _lww_reduce_table(reducer.read([bucket]))
+    return _winners(reducer.read([bucket]))
 
 
 def _reduce_partition(reducer: "_PartitionReducer", part: int, bucket: int,
@@ -530,10 +516,14 @@ class _PartitionReducer:
         self.epoch_id = epoch_id
         self.base_files = base_files  # part -> list of live file relpaths
         self.payload_cols = payload_cols
-        self.modes = modes or {}     # part -> "full" | "delta"
+        self.modes = modes or {}     # part -> "full" | "delta" | "append"
 
-    def _preimage_feed(self, net: pa.Table,
-                       base_tables: list[pa.Table]) -> pa.Table:
+    def _stored(self, t: pa.Table, with_op: bool) -> pa.Table:
+        """Merged rows (payload + lsn + op) → the lake's file columns."""
+        out = t.select(self.payload_cols).append_column(LSN_COL, t.column("lsn"))
+        return out.append_column(OP_COL, t.column("op")) if with_op else out
+
+    def _preimage_feed(self, net: pa.Table, base: list[pa.Table]) -> pa.Table:
         """Delta-CDF-with-preimages feed for one partition: classify each
         net change against the pre-epoch live state (already loaded for
         the merge) into ``_change_type`` ∈ insert / update_preimage /
@@ -543,18 +533,11 @@ class _PartitionReducer:
         keeps every tombstone). One pandas hash-join on the keys per
         partition (bucket-then-vectorize; partition already fits a worker
         heap by the reduce's own bound)."""
-        base_live = None
-        if base_tables:
-            merged_base = pa.concat_tables(base_tables,
-                                           promote_options="permissive")
-            if merged_base.num_rows:
-                base_live = _merge_live([merged_base])
+        base_live = (_winners(pa.concat_tables(base, promote_options="permissive"),
+                              drop_deletes=True) if base else None)
 
         def _with_type(t: pa.Table, ct: str) -> pa.Table:
-            body = t.select(self.payload_cols)
-            body = body.append_column(LSN_COL, t.column("lsn"))
-            body = body.append_column(OP_COL, t.column("op"))
-            return body.append_column(
+            return self._stored(t, with_op=True).append_column(
                 CHANGE_TYPE_COL, pa.array([ct] * t.num_rows, pa.string()))
 
         is_del = pc.equal(net.column("op"), "delete").to_numpy(
@@ -594,87 +577,46 @@ class _PartitionReducer:
         if not pieces:
             return _with_type(net.slice(0, 0), "insert").slice(0, 0)
         feed = pa.concat_tables(pieces, promote_options="permissive")
-        return _sorted_by_key(feed)
+        # a key's preimage and postimage share the key: a STABLE key sort
+        # keeps the preimage first
+        return feed.take(pc.sort_indices(
+            feed, sort_keys=[(c, "ascending") for c in KEY_COLS]))
 
     def _reduce_one(self, part: int, raw: pa.Table) -> dict:
-        changes = self.registry.conform(
-            raw.select([c for c in raw.column_names if c not in META_COLS])
-        )
-        changes = changes.append_column("lsn", raw.column("lsn").cast(pa.int64()))
-        changes = changes.append_column("op", raw.column("op").cast(pa.string()))
+        # stage 1 already conformed the payload and typed lsn/op
+        changes = raw.drop_columns([BUCKET_COL])
         change_lsn = changes.column("lsn").to_numpy(zero_copy_only=False)
         mode = self.modes.get(part, "full")
-
-        if mode == "append":
-            # append-only path (the reference's import semantics,
-            # importer.cpp append-only partitions): INSERTs of new keys
-            # land as a fresh file, base untouched, fast read path kept —
-            # so per-epoch files accumulate with disjoint zone maps and
-            # time-range reads prune whole epochs. Key disjointness vs
-            # the base is the CALLER's contract (exactly as the
-            # reference's import, which never dedups); non-insert ops
-            # are rejected loudly.
-            bad = pc.any(pc.not_equal(changes.column("op"), "insert"))
-            if bool(bad.as_py()):
-                raise ValueError(
-                    "append_only epoch contains update/delete ops — "
-                    "use the default upsert path for those")
-            final = _sorted_by_key(_lww_reduce_table(changes))
-            out = final.select(self.payload_cols).append_column(
-                LSN_COL, final.column("lsn"))
-            rel = (f"part={part}/append-{self.epoch_id}-"
-                   f"{uuid.uuid4().hex[:8]}.parquet")
-            lsn_high = int(change_lsn.max()) if len(change_lsn) else -1
-        elif mode == "delta":
-            # merge-on-read path: never touch the base — LWW-reduce only the
-            # epoch's changes and write them (incl. delete tombstones) as a
-            # DELTA file; readers merge base+deltas, optimize() compacts
-            final = _lww_reduce_table(changes)
-            final = _sorted_by_key(final)
-            out = final.select(self.payload_cols)
-            out = out.append_column(LSN_COL, final.column("lsn"))
-            out = out.append_column(OP_COL, final.column("op"))
-            rel = f"part={part}/delta-{self.epoch_id}-{uuid.uuid4().hex[:8]}.parquet"
-            lsn_high = int(change_lsn.max()) if len(change_lsn) else -1
-        else:
-            base_tables = [
-                _load_stored(self.root, rel_stored, self.registry).select(
-                    changes.column_names
-                )
-                for rel_stored in self.base_files.get(part, ())
-            ]
-            merged = pa.concat_tables([changes, *base_tables],
-                                      promote_options="permissive")
-            mask = _lww_mask(
-                merged.column("lsn").to_numpy(zero_copy_only=False),
-                _factorize(merged.column("conv_id"))[0],
-                merged.column("turn_idx").to_numpy(zero_copy_only=False),
-            )
-            # keep the per-key LWW WINNERS including delete tombstones: a
-            # tombstone must survive the rewrite so a late-arriving earlier
-            # segment (out-of-order backfill) cannot resurrect the key.
-            # Tombstones die at compaction (optimize()), which the operator
-            # runs once the log is known applied in order up to a watermark.
-            final = _sorted_by_key(merged.filter(pa.array(mask)))
-            out = final.select(self.payload_cols).append_column(
-                LSN_COL, final.column("lsn")
-            )
-            # the _op column only exists when tombstones are present — the
-            # all-insert common case stays a pure payload+_lsn file
-            has_tomb = bool(
-                pc.any(pc.equal(final.column("op"), "delete")).as_py()
-            )
-            if has_tomb:
-                out = out.append_column(OP_COL, final.column("op"))
-            rel = f"part={part}/epoch-{self.epoch_id}-{uuid.uuid4().hex[:8]}.parquet"
-            mlsn = merged.column("lsn").to_numpy(zero_copy_only=False)
-            lsn_high = int(mlsn.max()) if len(mlsn) else -1
-
-        path = os.path.join(self.root, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(out, tmp, compression="zstd", compression_level=1)
-        os.replace(tmp, path)  # write-then-rename (posix_filesystem.cpp:29)
+        if mode == "append" and pc.any(
+                pc.not_equal(changes.column("op"), "insert")).as_py():
+            # append-only epochs (the reference's import semantics,
+            # importer.cpp) land INSERTs of new keys as a fresh file next
+            # to an untouched base; key disjointness vs the base is the
+            # CALLER's contract, non-insert ops are rejected loudly
+            raise ValueError(
+                "append_only epoch contains update/delete ops — "
+                "use the default upsert path for those")
+        # only a full rewrite reads the base: delta and append files are
+        # merged by readers (merge-on-read), optimize() compacts them
+        base = ([_load_stored(self.root, rel, self.registry)
+                 for rel in self.base_files.get(part, ())]
+                if mode == "full" else [])
+        # changes first: an lsn tie goes to the change. Winners keep
+        # delete tombstones, so a late-arriving earlier segment
+        # (out-of-order backfill) cannot resurrect the key; tombstones die
+        # at compaction (optimize()), once the log is known applied in
+        # order up to a watermark.
+        final = _winners(pa.concat_tables([changes, *base],
+                                          promote_options="permissive"))
+        n_tomb = int(pc.sum(pc.cast(pc.equal(final.column("op"), "delete"),
+                                    pa.int64())).as_py() or 0)
+        # a rewritten base or an append file keeps _op only when
+        # tombstones survive: the all-insert common case stays payload+_lsn
+        out = self._stored(final, with_op=mode == "delta" or n_tomb > 0)
+        prefix = "epoch" if mode == "full" else mode
+        rel = (f"part={part}/{prefix}-{self.epoch_id}-"
+               f"{uuid.uuid4().hex[:8]}.parquet")
+        _write_file(self.root, rel, out)
 
         # change-data-feed (Delta-Lake _change_data analog): persist the
         # epoch's NET applied changes — intra-epoch LWW winners including
@@ -686,42 +628,22 @@ class _PartitionReducer:
         # the base was read anyway for the merge.
         cdf_rel = None
         if self.change_feed:
-            if mode == "delta":
-                cdf_tbl = out
-            else:
-                net = _sorted_by_key(_lww_reduce_table(changes))
-                if self.change_feed == "preimages":
-                    cdf_tbl = self._preimage_feed(net, base_tables)
-                else:
-                    cdf_tbl = net.select(self.payload_cols)
-                    cdf_tbl = cdf_tbl.append_column(LSN_COL, net.column("lsn"))
-                    cdf_tbl = cdf_tbl.append_column(OP_COL, net.column("op"))
-            cdf_rel = (
-                f"_cdf/part={part}/cdf-{self.epoch_id}-{uuid.uuid4().hex[:8]}"
-                ".parquet"
-            )
-            cdf_path = os.path.join(self.root, cdf_rel)
-            os.makedirs(os.path.dirname(cdf_path), exist_ok=True)
-            pq.write_table(cdf_tbl, cdf_path + ".tmp", compression="zstd",
-                           compression_level=1)
-            os.replace(cdf_path + ".tmp", cdf_path)
+            net = _winners(changes) if base else final
+            cdf_tbl = (self._preimage_feed(net, base)
+                       if self.change_feed == "preimages"
+                       else self._stored(net, with_op=True))
+            cdf_rel = (f"_cdf/part={part}/cdf-{self.epoch_id}-"
+                       f"{uuid.uuid4().hex[:8]}.parquet")
+            _write_file(self.root, cdf_rel, cdf_tbl)
 
         # deterministic content checksum: sha256 over the sorted output's
         # Arrow IPC bytes (single C pass, no pandas round-trip)
-        import hashlib
-
         sink = pa.BufferOutputStream()
         with pa.ipc.new_stream(sink, out.schema) as w:
             w.write_table(out)
         checksum = int.from_bytes(
             hashlib.sha256(sink.getvalue()).digest()[:8], "big"
         ) & ((1 << 63) - 1)
-        n_tomb = int(
-            pc.sum(
-                pc.cast(pc.equal(final.column("op"), "delete"), pa.int64())
-            ).as_py()
-            or 0
-        )
         counts = ({"rows": 0, "delta_rows": out.num_rows} if mode == "delta"
                   else {"rows": out.num_rows - n_tomb, "delta_rows": 0})
         return {
@@ -737,8 +659,10 @@ class _PartitionReducer:
                 ("files" if mode == "full" else "add"): [rel],
                 **counts,
                 "tombstones": n_tomb,
-                # applied-LSN watermark (resume checkpoint)
-                "lsn_high": lsn_high,
+                # applied-LSN watermark (resume checkpoint): every key's
+                # winner, so the max over all rows the partition merged
+                "lsn_high": (int(pc.max(final.column("lsn")).as_py())
+                             if final.num_rows else -1),
                 "checksum": checksum,
                 "new_file": rel,
                 **({"cdf_file": cdf_rel} if cdf_rel else {}),
@@ -764,10 +688,7 @@ class _PartitionLoader:
         outs = []
         for row in batch.to_pylist():
             rels = self.files_by_part[int(row["part"])]
-            merged = _merge_live(
-                [_load_stored(self.root, rel, self.registry) for rel in rels]
-            )
-            tbl = merged.drop_columns(["lsn", "op"])
+            tbl = _live_rows(self.root, rels, self.registry).drop_columns(["lsn"])
             if self.columns:
                 tbl = tbl.select(self.columns)
             outs.append(tbl)
@@ -1312,30 +1233,17 @@ class LakeTable:
         the blooms skipped (observability + tests)."""
         key = str(conv_id)
         part = int(stable_part_of_uniques([key], self.num_partitions)[0])
-        payload_cols = (list(self.registry.schema.names)
-                        if self.registry.schema else list(KEY_COLS))
-        empty = pa.table({c: pa.array([], (self.registry.schema.field(c).type
-                                           if self.registry.schema else pa.string()))
-                          for c in payload_cols})
-        info = self.manifest.partitions.get(str(part))
-        pruned = 0
-        tables = []
-        if info is not None:
-            fstats = info.get("file_stats") or {}
-            probe = [(KEY_COLS[0], "==", key)]
-            for rel in info["files"]:
-                if _zone_skip(fstats.get(rel), probe):
-                    pruned += 1
-                    continue
-                t = _load_stored(self.root, rel, self.registry,
-                                 filters=[(KEY_COLS[0], "==", key)])
-                if t.num_rows:
-                    tables.append(t)
-        self._last_lookup_pruned = pruned
-        if not tables:
-            out = empty
+        info = self.manifest.partitions.get(str(part)) or {}
+        probe = [(KEY_COLS[0], "==", key)]
+        files = info.get("files", [])
+        fstats = info.get("file_stats") or {}
+        rels = [rel for rel in files if not _zone_skip(fstats.get(rel), probe)]
+        self._last_lookup_pruned = len(files) - len(rels)
+        if self.registry.schema is None:
+            out = pa.table({c: pa.array([], pa.string()) for c in KEY_COLS})
         else:
-            out = _merge_live(tables).drop_columns(["lsn", "op"])
+            out = _live_rows(self.root, rels, self.registry,
+                             filters=probe).drop_columns(["lsn"])
         if columns is not None:
             out = out.select(columns)
         return out
@@ -1570,13 +1478,11 @@ class LakeTable:
         lineage snapshot (see :meth:`read`)."""
         state = (self.manifest.partitions if as_of is None
                  else self.manifest.state_as_of(as_of))
-        tables = []
-        for k in sorted(state, key=int):
-            info = state[k]
-            merged = _merge_live(
-                [_load_stored(self.root, rel, self.registry) for rel in info["files"]]
-            )
-            tables.append(merged.drop_columns(["lsn", "op"]))
+        tables = [
+            _live_rows(self.root, state[k]["files"], self.registry)
+            .drop_columns(["lsn"])
+            for k in sorted(state, key=int)
+        ]
         if not tables:
             # empty lake: preserve the registered schema (a 0-row epoch
             # still registers it) so callers can project/sort columns
@@ -2019,12 +1925,8 @@ class LakeTable:
 
         @ray_core.remote
         def _compact(k: str, rels: list[str]) -> dict:
-            reg = SchemaRegistry.from_json(reg_json)
-            merged = _merge_live([_load_stored(root, rel, reg) for rel in rels])
-            payload_cols = [c for c in merged.column_names if c not in ("lsn", "op")]
-            out = merged.select(payload_cols).append_column(
-                LSN_COL, merged.column("lsn")
-            )
+            live = _live_rows(root, rels, SchemaRegistry.from_json(reg_json))
+            out = live.rename_columns([*live.column_names[:-1], LSN_COL])
             if cluster_by:
                 out = out.take(pa.array(_zorder_argsort(out, cluster_by)))
             files, stats = [], {}
@@ -2034,11 +1936,7 @@ class LakeTable:
                     continue
                 chunk = out.slice(int(lo), int(hi - lo))
                 new_rel = f"part={k}/compact-{uuid.uuid4().hex[:8]}.parquet"
-                dst = os.path.join(root, new_rel)
-                os.makedirs(os.path.dirname(dst), exist_ok=True)
-                pq.write_table(chunk, dst + ".tmp", compression="zstd",
-                               compression_level=compression_level)
-                os.replace(dst + ".tmp", dst)
+                _write_file(root, new_rel, chunk, compression_level)
                 files.append(new_rel)
                 stats[new_rel] = _zone_stats(chunk, token_cols)
             return {"mode": "compact", "files": files, "rows": out.num_rows,

@@ -379,3 +379,33 @@ def test_out_of_order_epochs(ray_session, tmp_path):
     lake.apply_changes(late, epoch_id="seg-B")   # later lsns arrive first
     lake.apply_changes(early, epoch_id="seg-A")
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
+
+
+@pytest.mark.parametrize("col", ["conv_id", "turn_idx", "lsn", "op"])
+def test_null_key_lsn_or_op_rejected(ray_session, tmp_path, col):
+    """A null key, lsn or op fails the apply loudly and commits nothing:
+    it has no place in the LWW order, and a committed null op would break
+    every later read of its partition."""
+    import pyarrow.compute as pc
+
+    base = gen_changes(2_000, seed=11)
+    root = str(tmp_path / "lake")
+    lake = LakeTable(root, num_partitions=4)
+    lake.apply_changes(base, epoch_id="e0")
+    tail = base.slice(0, 3)
+    tail = tail.set_column(tail.schema.get_field_index("lsn"), "lsn",
+                           pc.add(tail.column("lsn"), 10_000))
+    tail = tail.set_column(tail.schema.get_field_index("op"), "op",
+                           pa.array(["update"] * 3, pa.string()))
+    vals = tail.column(col).to_pylist()
+    vals[1] = None
+    tail = tail.set_column(tail.schema.get_field_index(col), col,
+                           pa.array(vals, tail.schema.field(col).type))
+    # the ValueError is raised in a stage-1 worker; Ray wraps it
+    with pytest.raises(Exception, match=f"null '{col}'"):
+        lake.apply_changes(tail, epoch_id="e1")
+    fresh = LakeTable(root)
+    assert "e1" not in fresh.manifest.committed_epoch_ids()
+    _assert_tables_equal(fresh.final_table(), naive_apply(base), cols=PAYLOAD)
+    assert fresh.lookup(vals[0] if col == "conv_id"
+                        else tail.column("conv_id")[0].as_py()).num_rows > 0

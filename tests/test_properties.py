@@ -7,19 +7,27 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenzir_ray.cdc.lake import _lww_mask
+from tenzir_ray.cdc.lake import _winners
 from tenzir_ray.cdc.registry import SchemaRegistry, widen
 
 
 @st.composite
 def _events(draw):
-    n = draw(st.integers(1, 200))
-    convs = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+    """A change table with repeated keys, lsn ties and deletes."""
+    n = draw(st.integers(0, 200))
+    convs = draw(st.lists(st.sampled_from(["a", "b", "c10", "c9", "é", ""]),
+                          min_size=n, max_size=n))
     turns = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    lsns = draw(
-        st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)
-    )
-    return np.array(lsns, np.int64), np.array(convs, np.int64), np.array(turns, np.int64)
+    lsns = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    ops = draw(st.lists(st.sampled_from(["insert", "update", "delete"]),
+                        min_size=n, max_size=n))
+    return pa.table({
+        "conv_id": pa.array(convs, pa.string()),
+        "turn_idx": pa.array(turns, pa.int32()),
+        "lsn": pa.array(lsns, pa.int64()),
+        "op": pa.array(ops, pa.string()),
+        "row": pa.array(np.arange(n), pa.int64()),
+    })
 
 
 @st.composite
@@ -55,23 +63,22 @@ def test_filter_mask_complement_partitions_rows(tbl, pred):
     assert comp.num_rows + kept.num_rows == tbl.num_rows
 
 
-@given(_events())
+@given(_events(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_lww_mask_matches_naive(ev):
-    lsn, conv, turn = ev
-    mask = _lww_mask(lsn, conv, turn)
-    # naive: per key, winner = max lsn
+def test_winners_matches_naive(tbl, drop_deletes):
+    """The LWW kernel equals a naive per-key max-lsn scan: one row per
+    key, lsn ties to the first occurrence, tombstones dropped only on
+    request, output in (conv_id, turn_idx) order."""
+    got = _winners(tbl, drop_deletes)
     best = {}
-    for i in range(len(lsn)):
-        k = (conv[i], turn[i])
-        if k not in best or lsn[i] > lsn[best[k]]:
-            best[k] = i
-    expect = np.zeros(len(lsn), dtype=bool)
-    for i in best.values():
-        expect[i] = True
-    assert (mask == expect).all()
-    # exactly one winner per key
-    assert mask.sum() == len(best)
+    for r in tbl.to_pylist():
+        k = (r["conv_id"], r["turn_idx"])
+        if k not in best or r["lsn"] > best[k]["lsn"]:
+            best[k] = r
+    want = [best[k] for k in sorted(best)
+            if not (drop_deletes and best[k]["op"] == "delete")]
+    assert got.to_pylist() == want
+    assert got.schema == tbl.schema
 
 
 _types = st.sampled_from(
