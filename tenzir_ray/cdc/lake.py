@@ -24,21 +24,24 @@ Dataflow per epoch (one bounded chunk of the binlog)::
 
     read changes (Dataset, arrival order ≠ lsn order)
       → Exchange.run(transform=_NormalizeCombine)   # stages/exchange.py:
-        #   reject null keys/lsn/op, PARTIAL LWW reduce within the batch
-        #   (combiner — first line of skew defense), conform to the
-        #   registry schema, tag each row with its bucket, then hand the
-        #   batch to the one packed
-        #   exchange (fs staging files or the object store). Partition k
-        #   = crc32(conv_id) % P owns buckets [k*S, k*S+S); a cold
-        #   partition uses only bucket k*S, a salted hot one spreads over
-        #   all S by lsn % S. Retry-safe: the exchange index only names
-        #   successful attempts' outputs.
+        #   the input's blocks, grouped up to batch_size rows, one plain
+        #   Ray task per group. Per batch: reject null keys/lsn/op,
+        #   PARTIAL LWW reduce (combiner — first line of skew defense),
+        #   conform to the registry schema, tag each row with its
+        #   bucket; the task then packs the group's rows into the one
+        #   exchange (fs staging file or object-store segments).
+        #   Partition k = crc32(conv_id) % P owns buckets [k*S, k*S+S); a
+        #   cold partition uses only bucket k*S, a salted hot one spreads
+        #   over all S by lsn % S. Retry-safe: the exchange index only
+        #   names successful attempts' outputs.
       [→ one Ray task per salted sub-bucket]        # optional salted
         #   pre-reduce (north rule): LWW-reduce one sub-bucket. With
         #   num_salts="auto" only the partitions whose recorded volume
         #   crossed the threshold last epoch are salted.
-      → one Ray task per touched partition          # _PartitionReducer:
-        #   read its bucket (or take its salt pre-reduce outputs); a full
+      → min(touched partitions, CPUs) Ray tasks     # _reduce_group:
+        #   every n-th touched partition to the same task; a task
+        #   reduces its partitions one at a time (_PartitionReducer):
+        #   read the bucket (or take the salt pre-reduce outputs); a full
         #   rewrite also loads the partition's live files. One kernel
         #   call picks the LWW winners in (conv_id, turn_idx) order; the
         #   mode only names the file (epoch-/delta-/append-). Write it,
@@ -488,20 +491,28 @@ def _salt_reduce(reducer: "_PartitionReducer", bucket: int) -> pa.Table:
     return _winners(reducer.read([bucket]))
 
 
-def _reduce_partition(reducer: "_PartitionReducer", part: int, bucket: int,
-                      *pre: pa.Table) -> dict:
-    """Stage 2 task (both transports): reduce ``part`` from its exchange
-    bucket, or from its stage-1.5 outputs ``pre`` when it was salted."""
-    raw = (pa.concat_tables(pre, promote_options="permissive") if pre
-           else reducer.read([bucket]))
-    return reducer._reduce_one(part, raw)
+def _reduce_group(reducer: "_PartitionReducer", parts: list,
+                  pre: dict) -> list[dict]:
+    """Stage 2 task (both transports): reduce each ``(part, bucket)`` in
+    turn from its exchange bucket, or from its stage-1.5 outputs
+    ``pre[part]`` when it was salted. Those refs sit inside an argument,
+    which Ray does not resolve, so the task fetches them itself."""
+    import ray
+
+    out = []
+    for part, bucket in parts:
+        raw = (pa.concat_tables(ray.get(pre[part]),
+                                promote_options="permissive")
+               if part in pre else reducer.read([bucket]))
+        out.append(reducer._reduce_one(part, raw))
+    return out
 
 
 class _PartitionReducer:
-    """Stage 2: one task per touched partition — take the partition's
-    exchanged changes, merge with its live base rows, final LWW by lsn,
-    write the new partition file, return a lineage record. ``read`` is
-    the exchange's bucket reader (:meth:`Exchange.reader`)."""
+    """Stage 2, per touched partition: take the partition's exchanged
+    changes, merge with its live base rows, final LWW by lsn, write the
+    new partition file, return a lineage record. ``read`` is the
+    exchange's bucket reader (:meth:`Exchange.reader`)."""
 
     def __init__(self, root: str, read, registry_json: str, epoch_id: str,
                  base_files: dict[int, list[str]], payload_cols: list[str],
@@ -811,6 +822,7 @@ class LakeTable:
             changes = ray.data.from_arrow(changes)
 
         from tenzir_ray.stages.exchange import Exchange, default_transport
+        from tenzir_ray.stages.join import _dataset_arrow_schema
 
         transport = transport or default_transport()
         if transport not in ("fs", "object"):
@@ -837,14 +849,10 @@ class LakeTable:
         }
 
         # -- schema evolution: merge the incoming payload schema ---------
-        incoming = changes.schema()
-        if incoming is not None and any(
-                not isinstance(t, pa.DataType) for t in incoming.types):
-            # pandas-block datasets report numpy/Python types; route
-            # through a zero-copy arrow identity so the registry sees the
-            # real Arrow schema (the exchange stages read arrow anyway)
-            changes = changes.map_batches(lambda b: b, batch_format="pyarrow")
-            incoming = changes.schema()
+        # pandas-block datasets report numpy types: the Arrow schema then
+        # comes from one small converted batch (stage 1 converts the
+        # blocks itself)
+        incoming = _dataset_arrow_schema(changes)
         payload_fields = [
             pa.field(n, t)
             for n, t in zip(incoming.names, incoming.types)
@@ -933,8 +941,8 @@ class LakeTable:
 
             # stages 1.5 and 2 run as plain Ray tasks, not a Dataset
             # pipeline: a FIXED fan-out of independent tasks with tiny
-            # outputs — the one place the Dataset API adds only launch
-            # overhead (~0.5-1s per epoch). Task retries on worker death
+            # outputs, where the Dataset API adds only launch overhead
+            # (~0.5-1s per epoch). Task retries on worker death
             # are preserved (ray.remote default max_retries). The reducer
             # (with the exchange reader) is stored once in plasma.
             ex_schema = pa.schema([*self.registry.schema,
@@ -962,13 +970,18 @@ class LakeTable:
                 ray_core.wait(pending, num_returns=len(pending),
                               fetch_local=False)
 
-            # -- stage 2: one parallel task per touched partition ---------
+            # -- stage 2: min(touched, CPUs) tasks, every n-th touched
+            #    partition to the same task; a task reduces its
+            #    partitions one at a time ---------------------------------
             _t1 = time.perf_counter()
-            reduce_task = ray_core.remote(_reduce_partition)
-            reduced = ray_core.get([
-                reduce_task.remote(reducer_ref, k, k * S, *pre.get(k, ()))
-                for k in touched
-            ])
+            cpus = int(ray_core.cluster_resources().get("CPU", 1))
+            n = max(1, min(len(touched), cpus))
+            groups = [touched[i::n] for i in range(n)]
+            reduce_task = ray_core.remote(_reduce_group)
+            refs = [reduce_task.remote(reducer_ref, [(k, k * S) for k in g],
+                                       {k: pre[k] for k in g if k in pre})
+                    for g in groups]
+            reduced = [r for rs in ray_core.get(refs) for r in rs]
             _t2 = time.perf_counter()
         finally:
             # exchange files are transient: gone on every exit path
@@ -1023,6 +1036,8 @@ class LakeTable:
                 "stage1_exchange_s": round(_t1 - _t0, 3),
                 "stage2_reduce_s": round(_t2 - _t1, 3),
                 "commit_s": round(time.perf_counter() - _t2, 3),
+                "stage1_tasks": ex.stage1_tasks,
+                "stage2_tasks": len(groups),
             },
         }
 
@@ -1888,9 +1903,11 @@ class LakeTable:
         tombstones) at a higher zstd level — the reference's partition
         rebuild (builtins/commands/rebuild.cpp:26). One Ray task per
         partition (never a driver loop); write-then-rename per file, then
-        one atomic manifest swap; superseded files become orphans for
-        gc(). ``parts`` limits compaction to the given partition ids
-        (selective rebuild).
+        one atomic manifest swap, then the files the compaction replaced
+        are deleted (nothing else: other writers' in-flight files and
+        staging are left alone; older superseded files stay for
+        :meth:`gc`). ``parts`` limits compaction to the given partition
+        ids (selective rebuild).
 
         ``cluster_by=[c1, c2, ...]`` Z-ORDER-clusters each partition
         (Delta-Lake ``OPTIMIZE ZORDER BY`` analog): rows sort by the
@@ -1955,7 +1972,15 @@ class LakeTable:
             f"_optimize-{uuid.uuid4().hex[:8]}", -1, -1, part_results,
             meta={"_compaction": True},
         )
-        self.gc()  # old files are now orphans
+        # delete exactly the files this compaction replaced: a sweep
+        # (gc) would also take other writers' written-but-uncommitted
+        # files and staging, losing their epochs
+        for info in todo.values():
+            for rel in info["files"]:
+                try:
+                    os.remove(os.path.join(root, rel))
+                except FileNotFoundError:
+                    pass
         return len(part_results)
 
     def compact_hot(self, max_files: int = 8,

@@ -244,47 +244,83 @@ def test_tail_directory_resume(ray_session, tmp_path):
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
 
 
+@pytest.mark.parametrize("source", ["table", "parquet_dir"])
 @pytest.mark.parametrize("transport", ["fs", "object"])
 def test_task_retry_convergence(ray_session, tmp_path, monkeypatch,
-                                transport):
-    """At-least-once execution: a stage-1 exchange writer that CRASHES
-    once (first attempt, after its output is written) must not corrupt
+                                transport, source):
+    """At-least-once execution: a stage-1 exchange task that CRASHES
+    once (first attempt, after its output is packed) must not corrupt
     the lake — Ray retries the task (worker death is a system failure),
     the exchange index names only the successful attempt's output, and
-    the final state equals the oracle."""
+    the final state equals the oracle. Inputs: an in-memory table and a
+    multi-file ``read_parquet`` directory."""
+    import ray
+
     import tenzir_ray.stages.exchange as ex_mod
 
     changes = gen_changes(4_000, seed=31)
     marker = str(tmp_path / "fail-once-marker")
+    if source == "table":
+        src = changes
+    else:
+        d = tmp_path / "src"
+        d.mkdir()
+        for i in range(4):
+            pq.write_table(changes.slice(i * 1_000, 1_000),
+                           str(d / f"part-{i}.parquet"))
+        src = ray.data.read_parquet(str(d))
 
-    def die_once():
+    orig_task = ex_mod._exchange_task
+
+    def flaky_task(*args):
+        out = orig_task(*args)  # output packed BEFORE the crash
         if not os.path.exists(marker):
             open(marker, "w").close()
             os._exit(1)  # hard worker death → Ray retries the task
+        return out
 
-    if transport == "fs":
-        orig_call = ex_mod.ExchangeWriter.__call__
-
-        def flaky_call(self, batch):
-            out = orig_call(self, batch)  # packed file on disk BEFORE the crash
-            die_once()
-            return out
-
-        monkeypatch.setattr(ex_mod.ExchangeWriter, "__call__", flaky_call)
-    else:
-        orig_pack = ex_mod._pack_block_sorted
-
-        def flaky_pack(*args):
-            out = orig_pack(*args)  # segments packed BEFORE the crash
-            die_once()
-            return out
-
-        monkeypatch.setattr(ex_mod, "_pack_block_sorted", flaky_pack)
+    monkeypatch.setattr(ex_mod, "_exchange_task", flaky_task)
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lake.apply_changes(changes, epoch_id="e1", transport=transport)
+    lake.apply_changes(src, epoch_id="e1", transport=transport)
     monkeypatch.undo()
     assert os.path.exists(marker)  # the writer really died once
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
+
+
+def test_stage2_task_retry_convergence(ray_session, tmp_path, monkeypatch):
+    """A stage-2 group task that dies once, after it has written its first
+    partition's file: the retry converges to the oracle, and the dead
+    attempt's file is an orphan the manifest never names."""
+    import tenzir_ray.cdc.lake as lake_mod
+
+    changes = gen_changes(6_000, seed=37)
+    marker = str(tmp_path / "dead-attempt-file")
+    orig_reduce = lake_mod._PartitionReducer._reduce_one
+
+    def flaky_reduce(self, part, raw):
+        res = orig_reduce(self, part, raw)  # the file is on disk now
+        try:  # exactly one attempt, of one task, dies
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return res
+        os.write(fd, res["entry"]["new_file"].encode())
+        os.close(fd)
+        os._exit(1)
+
+    monkeypatch.setattr(lake_mod._PartitionReducer, "_reduce_one",
+                        flaky_reduce)
+    root = str(tmp_path / "lake")
+    lake = LakeTable(root, num_partitions=8)  # > the session's 4 CPUs
+    res = lake.apply_changes(changes, epoch_id="e1")
+    monkeypatch.undo()
+    assert res["timings"]["stage2_tasks"] == 4
+    with open(marker) as f:
+        dead = f.read()
+    assert os.path.exists(os.path.join(root, dead))
+    fresh = LakeTable(root)
+    assert os.path.join(root, dead) not in fresh.manifest.live_files()
+    _assert_tables_equal(fresh.final_table(), naive_apply(changes),
+                         cols=PAYLOAD)
 
 
 def test_failed_epoch_removes_staging(ray_session, tmp_path):
@@ -381,8 +417,9 @@ def test_out_of_order_epochs(ray_session, tmp_path):
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
 
 
+@pytest.mark.parametrize("transport", ["fs", "object"])
 @pytest.mark.parametrize("col", ["conv_id", "turn_idx", "lsn", "op"])
-def test_null_key_lsn_or_op_rejected(ray_session, tmp_path, col):
+def test_null_key_lsn_or_op_rejected(ray_session, tmp_path, col, transport):
     """A null key, lsn or op fails the apply loudly and commits nothing:
     it has no place in the LWW order, and a committed null op would break
     every later read of its partition."""
@@ -401,9 +438,9 @@ def test_null_key_lsn_or_op_rejected(ray_session, tmp_path, col):
     vals[1] = None
     tail = tail.set_column(tail.schema.get_field_index(col), col,
                            pa.array(vals, tail.schema.field(col).type))
-    # the ValueError is raised in a stage-1 worker; Ray wraps it
-    with pytest.raises(Exception, match=f"null '{col}'"):
-        lake.apply_changes(tail, epoch_id="e1")
+    # raised in a stage-1 task; it reaches the caller as a ValueError
+    with pytest.raises(ValueError, match=f"null '{col}'"):
+        lake.apply_changes(tail, epoch_id="e1", transport=transport)
     fresh = LakeTable(root)
     assert "e1" not in fresh.manifest.committed_epoch_ids()
     _assert_tables_equal(fresh.final_table(), naive_apply(base), cols=PAYLOAD)

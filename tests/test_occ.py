@@ -339,6 +339,56 @@ def test_concurrent_delta_epochs_rebase(ray_session, tmp_path, monkeypatch):
     assert _got(fresh) == _expected([base, e1, e2])
 
 
+def test_concurrent_optimize_keeps_uncommitted_epoch(
+        ray_session, tmp_path, monkeypatch):
+    """Another instance's ``optimize()`` of OTHER partitions runs between
+    this writer's stage 2 and its commit. It deletes exactly the files
+    its compaction replaced: this writer's written-but-uncommitted file
+    and other writers' staging dirs survive, so the epoch is not lost."""
+    from tenzir_ray.cdc.generate import gen_changes
+    from tenzir_ray.cdc.oracle import naive_apply
+
+    root = str(tmp_path / "lake")
+    P = 4
+    base = gen_changes(4_000, seed=19)
+    a = LakeTable(root, num_partitions=P)
+    a.apply_changes(base, epoch_id="e0")
+    b = LakeTable(root)
+    # a tail that updates a few keys of partition 0 only
+    conv = base.column("conv_id")
+    uniq = pc.unique(conv).to_pylist()
+    in0 = [u for u, p in zip(uniq, stable_part_of_uniques(uniq, P)) if p == 0]
+    tail = base.filter(pc.is_in(conv, pa.array(in0[:3])))
+    tail = tail.set_column(tail.schema.get_field_index("lsn"), "lsn",
+                           pc.add(tail.column("lsn"), 100_000))
+    tail = tail.set_column(tail.schema.get_field_index("op"), "op",
+                           pa.array(["update"] * tail.num_rows, pa.string()))
+    other_staging = os.path.join(root, "_staging", "other-writer")
+    os.makedirs(other_staging)
+    replaced = b.manifest.live_files(parts=["1", "2", "3"])
+    kept = a.manifest.live_files(parts=["0"])
+
+    orig_commit = a.manifest.commit_epoch
+
+    def commit_after_optimize(*args, **kw):
+        assert b.optimize(parts=[1, 2, 3]) == 3
+        return orig_commit(*args, **kw)
+
+    monkeypatch.setattr(a.manifest, "commit_epoch", commit_after_optimize)
+    res = a.apply_changes(tail, epoch_id="e1")
+    monkeypatch.undo()
+    assert res["partitions_touched"] == 1 and not res.get("skipped")
+    assert not any(os.path.exists(f) for f in replaced)
+    assert all(os.path.exists(f) for f in kept)
+    fresh = LakeTable(root)
+    assert [e["epoch_id"] for e in fresh.manifest.epochs][-1] == "e1"
+    assert all(os.path.exists(f) for f in fresh.manifest.live_files())
+    cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+    want = naive_apply(pa.concat_tables([base, tail]))
+    assert fresh.final_table().select(cols).equals(want.select(cols))
+    assert os.path.isdir(other_staging)
+
+
 def test_same_epoch_raced_commits_once(ray_session, tmp_path, monkeypatch):
     root = str(tmp_path / "lake")
     a, b = LakeTable(root, num_partitions=4), LakeTable(root, num_partitions=4)
