@@ -203,13 +203,23 @@ def _load_stored(root: str, rel: str, registry: SchemaRegistry,
     ``filters`` (pyarrow.parquet DNF) push into the scan — only safe for
     predicates that commute with the LWW merge, i.e. equality on the
     group-key prefix (conv_id): filtering keeps whole (conv, turn)
-    groups, so merge-then-filter ≡ filter-then-merge."""
-    stored = pq.read_table(os.path.join(root, rel), filters=filters)
+    groups, so merge-then-filter ≡ filter-then-merge.
+
+    An unfiltered load is one plain ``ParquetFile`` read without Arrow's
+    thread pool: every caller already runs one Ray task per CPU, and
+    ``pq.read_table``'s dataset layer and thread handoff cost more per
+    file than a delta file's few rows do."""
+    path = os.path.join(root, rel)
+    if filters is None:
+        with pq.ParquetFile(path) as f:
+            stored = f.read(use_threads=False)
+    else:
+        stored = pq.read_table(path, filters=filters)
     lsn_col = stored.column(LSN_COL).cast(pa.int64())
     if OP_COL in stored.column_names:
         op_col = stored.column(OP_COL).cast(pa.string())
     else:
-        op_col = pa.array(np.repeat("insert", stored.num_rows), pa.string())
+        op_col = pa.repeat(pa.scalar("insert", pa.string()), stored.num_rows)
     payload = registry.conform(
         stored.select(
             [c for c in stored.column_names if c not in (LSN_COL, OP_COL)]
@@ -541,33 +551,39 @@ class _PartitionReducer:
         update_postimage / delete. Preimage rows carry the REPLACED row's
         payload and lsn; a delete of a key that never lived emits nothing
         (Delta semantics — differs from the plain postimage feed, which
-        keeps every tombstone). One pandas hash-join on the keys per
-        partition (bucket-then-vectorize; partition already fits a worker
-        heap by the reduce's own bound)."""
+        keeps every tombstone).
+
+        Both sides come out of :func:`_winners`, key-sorted and unique per
+        key, so one dictionary ranked over both sides' ``conv_id`` gives a
+        composite integer key ``(conv rank, turn rank)`` sorted on each
+        side, and ``np.searchsorted`` matches every net change to its
+        base row."""
         base_live = (_winners(pa.concat_tables(base, promote_options="permissive"),
                               drop_deletes=True) if base else None)
 
         def _with_type(t: pa.Table, ct: str) -> pa.Table:
             return self._stored(t, with_op=True).append_column(
-                CHANGE_TYPE_COL, pa.array([ct] * t.num_rows, pa.string()))
+                CHANGE_TYPE_COL,
+                pa.repeat(pa.scalar(ct, pa.string()), t.num_rows))
 
         is_del = pc.equal(net.column("op"), "delete").to_numpy(
             zero_copy_only=False)
         if base_live is None or base_live.num_rows == 0:
             return _with_type(net.filter(pa.array(~is_del)), "insert")
 
-        nk = pd.DataFrame({
-            "conv": net.column("conv_id").to_pandas(),
-            "turn": net.column("turn_idx").to_numpy(zero_copy_only=False),
-        })
-        bk = pd.DataFrame({
-            "conv": base_live.column("conv_id").to_pandas(),
-            "turn": base_live.column("turn_idx").to_numpy(zero_copy_only=False),
-            "bi": np.arange(base_live.num_rows),
-        })
-        m = nk.merge(bk, on=["conv", "turn"], how="left")
-        bi = m["bi"].to_numpy()
-        has_base = ~np.isnan(bi)
+        nn = net.num_rows
+        codes, uniq = _factorize(pa.chunked_array(
+            net.column("conv_id").chunks + base_live.column("conv_id").chunks))
+        conv = pc.rank(uniq).to_numpy(zero_copy_only=False)[codes]
+        turns, turn = np.unique(np.concatenate([
+            net.column("turn_idx").to_numpy(zero_copy_only=False),
+            base_live.column("turn_idx").to_numpy(zero_copy_only=False),
+        ]), return_inverse=True)
+        key = conv.astype(np.int64) * len(turns) + turn
+        net_key, base_key = key[:nn], key[nn:]
+        bi = np.searchsorted(base_key, net_key)
+        has_base = bi < len(base_key)
+        has_base[has_base] = base_key[bi[has_base]] == net_key[has_base]
 
         pieces = []
         ins = ~has_base & ~is_del
@@ -575,18 +591,16 @@ class _PartitionReducer:
             pieces.append(_with_type(net.filter(pa.array(ins)), "insert"))
         upd = has_base & ~is_del
         if upd.any():
-            pre_idx = bi[upd].astype(np.int64)
-            pieces.append(_with_type(base_live.take(pa.array(pre_idx)),
+            pieces.append(_with_type(base_live.take(pa.array(bi[upd])),
                                      "update_preimage"))
             pieces.append(_with_type(net.filter(pa.array(upd)),
                                      "update_postimage"))
         dele = has_base & is_del
         if dele.any():
-            del_idx = bi[dele].astype(np.int64)
-            pieces.append(_with_type(base_live.take(pa.array(del_idx)),
+            pieces.append(_with_type(base_live.take(pa.array(bi[dele])),
                                      "delete"))
         if not pieces:
-            return _with_type(net.slice(0, 0), "insert").slice(0, 0)
+            return _with_type(net.slice(0, 0), "insert")
         feed = pa.concat_tables(pieces, promote_options="permissive")
         # a key's preimage and postimage share the key: a STABLE key sort
         # keeps the preimage first
@@ -683,8 +697,9 @@ class _PartitionReducer:
 
 
 class _PartitionLoader:
-    """Merge-on-read loader: one task per partition, merges base + delta
-    files (LWW, tombstones dropped) and emits payload rows."""
+    """Merge-on-read loader: merges one partition's base + delta files
+    (LWW, tombstones dropped) per call and emits payload rows. ``read()``
+    feeds it at most one task per CPU, one partition per batch."""
 
     __name__ = "partition_load"
 
@@ -1091,8 +1106,10 @@ class LakeTable:
         """Streaming Dataset over the live table (payload columns only).
 
         Compacted partitions stream straight from parquet (fast path);
-        partitions carrying delta files merge-on-read, one task per
-        partition (run ``optimize()`` to compact back to the fast path).
+        partitions carrying delta files merge-on-read in at most one
+        loader task per cluster CPU, each merging its partitions one at
+        a time, so a batch holds one partition (run ``optimize()`` to
+        compact back to the fast path).
 
         ``filter`` (a ``pyarrow.dataset.Expression``) pushes into the
         parquet scan on the fast path (row-group pruning); on the
@@ -1209,9 +1226,11 @@ class LakeTable:
             None if (filter is not None or residual is not None) else columns,
         )
         parts = sorted(state, key=int)
-        ds = ray.data.from_items([{"part": int(k)} for k in parts]).map_batches(
-            loader, batch_format="pyarrow", batch_size=1
-        )
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        ds = ray.data.from_items(
+            [{"part": int(k)} for k in parts],
+            override_num_blocks=max(1, min(len(parts), cpus)),
+        ).map_batches(loader, batch_format="pyarrow", batch_size=1)
         if filter is not None or residual is not None:
             import pyarrow.dataset as pads
 
