@@ -4553,7 +4553,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def cdc_append_pruned(sf):
         # append-only ingest (reference import semantics: pure inserts,
-        # per-epoch files, fast path preserved) + zone-map FILE pruning
+        # per-epoch files, read without a merge) + zone-map FILE pruning
         # on the range read — the catalog-synopsis pruning analog. The
         # oracle recomputes the same derivation + range filter in SQL.
         import pandas as pd

@@ -696,29 +696,51 @@ class _PartitionReducer:
         }
 
 
+def _needs_merge(info: dict) -> bool:
+    """Whether reading one partition needs the LWW merge: pending delta
+    rows or surviving tombstones do, and so does ``tombstones=None``, a
+    pre-round-4 record whose tombstone count is unknown. Any other
+    partition's files are pure payload + lsn with (by contract) disjoint
+    keys, so concatenating them IS its live state."""
+    return ((info.get("delta_rows") or 0) > 0
+            or info.get("tombstones") is None
+            or info["tombstones"] > 0)
+
+
 class _PartitionLoader:
-    """Merge-on-read loader: merges one partition's base + delta files
-    (LWW, tombstones dropped) per call and emits payload rows. ``read()``
-    feeds it at most one task per CPU, one partition per batch."""
+    """``read()``'s loader: per call, one partition's live payload rows.
+    A partition that needs the merge (:func:`_needs_merge`) yields its
+    LWW-merged files (tombstones dropped); any other yields each file on
+    its own, so memory stays bounded per file. Every yielded table is
+    conformed to the registry before ``flt`` filters it and ``columns``
+    projects it. ``read()`` feeds it at most one task per CPU, one
+    partition per batch."""
 
     __name__ = "partition_load"
 
-    def __init__(self, root: str, files_by_part: dict, registry_json: str,
-                 columns: list[str] | None):
+    def __init__(self, root: str, plan: dict, registry_json: str,
+                 columns: list[str] | None, flt):
         self.root = root
-        self.files_by_part = {int(k): v for k, v in files_by_part.items()}
+        self.plan = plan  # part → (files to load, whether they merge)
         self.registry = SchemaRegistry.from_json(registry_json)
         self.columns = columns
+        self.flt = flt
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for row in batch.to_pylist():
-            rels = self.files_by_part[int(row["part"])]
-            tbl = _live_rows(self.root, rels, self.registry).drop_columns(["lsn"])
-            if self.columns:
-                tbl = tbl.select(self.columns)
-            outs.append(tbl)
-        return pa.concat_tables(outs, promote_options="permissive")
+    def __call__(self, batch: pa.Table):
+        for part in batch.column("part").to_pylist():
+            rels, merge = self.plan[part]
+            if merge:
+                tables = [_live_rows(self.root, rels, self.registry)
+                          .drop_columns(["lsn"])]
+            else:
+                tables = (_load_stored(self.root, rel, self.registry)
+                          .drop_columns(["lsn", "op"]) for rel in rels)
+            for tbl in tables:
+                if self.flt is not None:
+                    tbl = self.flt.apply(tbl)
+                if self.columns:
+                    tbl = tbl.select(self.columns)
+                yield tbl
 
 
 class LakeTable:
@@ -787,8 +809,8 @@ class LakeTable:
         be pure INSERTs of keys not already live (the caller's contract
         — never verified against the base, exactly like the reference's
         import, which has no dedup); each partition lands a fresh file
-        with its own zone map instead of a rewrite, the read fast path
-        is preserved across any number of append epochs, and time-range
+        with its own zone map instead of a rewrite, so reads need no
+        merge after any number of append epochs, and time-range
         predicates prune whole epoch files via ``read(filter_expr=)``.
 
         Returns the epoch lineage record. Re-applying a committed
@@ -1084,20 +1106,10 @@ class LakeTable:
 
     # ------------------------------------------------------------------
     def _has_deltas(self, state: "dict | None" = None) -> bool:
-        """Whether reading ``state`` (default: the live state) needs
-        merge-on-read. Append-only partitions keep the fast path at any
-        file count: their files are pure payload+lsn with (by contract)
-        disjoint keys, so concatenation IS the live state. Only pending
-        delta rows or surviving tombstones force the merge — or
-        ``tombstones=None``, a pre-round-4 record whose tombstone count
-        is unknown."""
-        return any(
-            (info.get("delta_rows") or 0) > 0
-            or info.get("tombstones") is None
-            or info["tombstones"] > 0
-            for info in (self.manifest.partitions if state is None
-                         else state).values()
-        )
+        """Whether any partition of ``state`` (default: the live state)
+        needs merge-on-read (:func:`_needs_merge`)."""
+        state = self.manifest.partitions if state is None else state
+        return any(_needs_merge(info) for info in state.values())
 
     def read(self, columns: list[str] | None = None,
              filter=None, as_of: "str | int | None" = None,
@@ -1105,16 +1117,16 @@ class LakeTable:
              parts: "list[int] | None" = None) -> "ray.data.Dataset":
         """Streaming Dataset over the live table (payload columns only).
 
-        Compacted partitions stream straight from parquet (fast path);
-        partitions carrying delta files merge-on-read in at most one
-        loader task per cluster CPU, each merging its partitions one at
-        a time, so a batch holds one partition (run ``optimize()`` to
-        compact back to the fast path).
+        At most one loader task per cluster CPU loads the partitions one
+        at a time, so a batch never spans two partitions. A partition
+        carrying delta rows or tombstones merges on read (LWW); any other
+        partition streams its files one by one, unmerged (run
+        ``optimize()`` to compact a partition's deltas away).
 
-        ``filter`` (a ``pyarrow.dataset.Expression``) pushes into the
-        parquet scan on the fast path (row-group pruning); on the
-        merge-on-read path it applies right after each partition's merge
-        (rows must survive LWW BEFORE the predicate — a deleted row must
+        ``filter`` (a ``pyarrow.dataset.Expression``) applies to each
+        loaded table after its rows are conformed to the registry, so it
+        may name a column that older files lack, and after the merge:
+        rows must survive LWW BEFORE the predicate (a deleted row must
         not resurrect into the match set).
 
         ``as_of`` time-travels: read the snapshot as of a committed epoch
@@ -1128,13 +1140,16 @@ class LakeTable:
         later-added columns as nulls).
 
         ``filter_expr`` (expression-language string) compiles to the
-        same scan filter AND prunes whole FILES first via the manifest's
+        same filter AND prunes whole FILES first via the manifest's
         zone maps (per-file min/max recorded at write time — the
         reference's catalog synopsis pruning, catalog.hpp:90): a file
         whose range provably excludes every simple comparison conjunct
-        is never opened. Fast path only — merge-on-read partitions must
-        merge before any predicate."""
+        is never opened. Pruning is decided per partition: only a
+        partition that needs no merge drops files, since a merging
+        partition's rows must merge before any predicate."""
         import ray.data
+
+        from tenzir_ray.expr import Filter, compile_filter, prune_conjuncts
 
         state = (self.manifest.partitions if as_of is None
                  else self.manifest.state_as_of(as_of))
@@ -1144,112 +1159,42 @@ class LakeTable:
             # version and tombstone of a key lives in its key's partition
             keep = {int(p) for p in parts}
             state = {k: v for k, v in state.items() if int(k) in keep}
-        has_deltas = self._has_deltas(state)
 
         residual = None
-        flt_obj = None
         conjuncts: list = []
         if filter_expr is not None:
-            from tenzir_ray.expr import compile_filter, prune_conjuncts
-
-            flt_obj = compile_filter(filter_expr)
-            if flt_obj.pushdown is not None:
-                if filter is not None:
-                    filter = filter & flt_obj.pushdown
-                else:
-                    filter = flt_obj.pushdown
-            residual = flt_obj.residual
+            compiled = compile_filter(filter_expr)
+            if compiled.pushdown is not None:
+                filter = (compiled.pushdown if filter is None
+                          else filter & compiled.pushdown)
+            residual = compiled.residual
             conjuncts = prune_conjuncts(filter_expr)
+        flt = (Filter(filter, residual)
+               if filter is not None or residual is not None else None)
 
-        files = []
+        plan = {}
         pruned = 0
-        for k in sorted(state, key=int):
-            info = state[k]
-            fstats = info.get("file_stats") or {}
-            for rel in info["files"]:
-                if (conjuncts and not has_deltas
-                        and _zone_skip(fstats.get(rel), conjuncts)):
-                    pruned += 1
-                    continue
-                files.append(os.path.join(self.root, rel))
+        for k, info in state.items():
+            rels, merge = info["files"], _needs_merge(info)
+            if conjuncts and not merge:
+                fstats = info.get("file_stats") or {}
+                rels = [rel for rel in rels
+                        if not _zone_skip(fstats.get(rel), conjuncts)]
+                pruned += len(info["files"]) - len(rels)
+            if rels:
+                plan[int(k)] = (rels, merge)
         self._last_read_pruned = pruned  # observability + tests
-        if not files:
+        if not plan:
             cols = columns or (list(self.registry.schema.names)
                                if self.registry.schema else ["conv_id"])
             return ray.data.from_arrow(pa.table({c: [] for c in cols}))
-        if not has_deltas:
-            # partitioning=None: part=<k>/ is physical layout, not a hive
-            # column — inference would graft a spurious `part` column
-            kwargs = {"filter": filter} if filter is not None else {}
-            scan_cols, drop_after = columns, []
-            if flt_obj is not None and columns:
-                # shared residual-projection contract (expr.Filter)
-                scan_cols, drop_after = flt_obj.widen_projection(columns)
-            if scan_cols is None or "part" in scan_cols:
-                # Ray 2.49's parquet reader raises UnboundLocalError when
-                # partitioning=None is combined with an explicit column
-                # list, so None is only safe projection-free; an explicit
-                # list that doesn't name `part` excludes the grafted hive
-                # column anyway. A payload column literally named `part`
-                # would collide with the hive guess → unpruned fallback.
-                kwargs["partitioning"] = None
-                if scan_cols is not None:
-                    drop_after = list(drop_after)  # select post-scan below
-                    kwargs["_post_select"] = scan_cols
-                    scan_cols = None
-            post_select = kwargs.pop("_post_select", None)
-            ds = ray.data.read_parquet(files, columns=scan_cols, **kwargs)
-            if post_select is not None:
-                ds = ds.select_columns(post_select)
-            if residual is not None:
-                _res = residual
-
-                def _resid(batch: pa.Table) -> pa.Table:
-                    if batch.num_rows:
-                        batch = batch.filter(pa.array(_res(batch)))
-                    if drop_after:
-                        batch = batch.drop_columns(drop_after)
-                    return batch
-
-                ds = ds.map_batches(_resid, batch_format="pyarrow")
-            if columns is None:
-                ds = ds.drop_columns([LSN_COL])
-            return ds
-        # merge-on-read: a filter may reference columns outside the
-        # projection (optimize_steps fuses where+select independently),
-        # so the loader merges FULL rows when a filter is present; the
-        # projection applies after the predicate
-        loader = _PartitionLoader(
-            self.root,
-            {k: info["files"] for k, info in state.items()},
-            self.registry.to_json(),
-            None if (filter is not None or residual is not None) else columns,
-        )
-        parts = sorted(state, key=int)
+        loader = _PartitionLoader(self.root, plan, self.registry.to_json(),
+                                  columns, flt)
         cpus = int(ray.cluster_resources().get("CPU", 1))
-        ds = ray.data.from_items(
-            [{"part": int(k)} for k in parts],
-            override_num_blocks=max(1, min(len(parts), cpus)),
+        return ray.data.from_items(
+            [{"part": k} for k in sorted(plan)],
+            override_num_blocks=max(1, min(len(plan), cpus)),
         ).map_batches(loader, batch_format="pyarrow", batch_size=1)
-        if filter is not None or residual is not None:
-            import pyarrow.dataset as pads
-
-            expr = filter
-            proj = columns
-            _res = residual
-
-            def _post(batch: pa.Table) -> pa.Table:
-                if batch.num_rows and expr is not None:
-                    batch = pads.dataset(batch).to_table(filter=expr)
-                if batch.num_rows and _res is not None:
-                    batch = batch.filter(pa.array(_res(batch)))
-                if proj is not None:
-                    batch = batch.select(
-                        [c for c in proj if c in batch.column_names])
-                return batch
-
-            ds = ds.map_batches(_post, batch_format="pyarrow")
-        return ds
 
     def lookup(self, conv_id, columns: list[str] | None = None) -> pa.Table:
         """Point lookup: the live rows of ONE conversation, LWW-merged.
@@ -1937,7 +1882,7 @@ class LakeTable:
         sort column (a linear sort gives tight zones on one dimension;
         Morton interleave bounds every dimension's spread per chunk).
         Without ``cluster_by`` each partition compacts to ONE key-sorted
-        file (unchanged fast path).
+        file.
 
         Multi-writer: a compaction is a full rewrite of its partitions, so
         a concurrent apply to the same partitions raises

@@ -307,15 +307,15 @@ def _register_builtins() -> None:
     SOURCE_OPS.add("read_fluent_forward")
 
     # lake source/sink (reference export.cpp / import.cpp): `read_lake
-    # <root>` streams the live table (filter_expr pushes into the scan —
+    # <root>` streams the live table (filter_expr pushes into the read —
     # see optimize_steps), `write_lake` applies one exactly-once epoch
     def _read_lake(root: str, columns=None, filter_expr: str | None = None,
                    as_of=None):
         from tenzir_ray.cdc import LakeTable
 
-        # LakeTable.read owns the whole filter path now: zone-map FILE
-        # pruning from manifest stats, parquet scan pushdown, residual
-        # mask, and the merge-on-read ordering constraint
+        # LakeTable.read owns the whole filter path: zone-map FILE
+        # pruning from manifest stats, the filter and residual mask on
+        # each loaded table, and the merge-on-read ordering constraint
         return LakeTable(root).read(columns=columns, as_of=as_of,
                                     filter_expr=filter_expr)
 

@@ -333,7 +333,7 @@ def _append_epoch(lo: int, n: int = 100) -> pa.Table:
 
 
 def test_zone_map_file_pruning_append_only(ray_session, tmp_path):
-    """Append-only epochs keep the fast path at any file count, and the
+    """Append-only epochs read without a merge at any file count, and the
     manifest zone maps (per-file min/max — the reference's catalog
     synopsis pruning) skip whole epoch files for range predicates,
     without opening them. Results stay exact vs an unpruned read."""
@@ -343,14 +343,14 @@ def test_zone_map_file_pruning_append_only(ray_session, tmp_path):
                            append_only=True)
     info = lake.manifest.partitions["0"]
     assert len(info["files"]) == 3          # no rewrites, no deltas
-    assert not lake._has_deltas()           # fast path preserved
+    assert not lake._has_deltas()           # no merge needed
     stats = info["file_stats"]
     assert all("turn_idx" in s and "conv_id" in s for s in stats.values())
 
     out = lake.read(filter_expr="turn_idx >= 2000").to_pandas()
     assert lake._last_read_pruned == 2      # two epoch files skipped
     assert len(out) == 100 and out["turn_idx"].min() == 2000
-    # time travel to the same state keeps the fast path and its pruning
+    # time travel to the same state needs no merge and keeps its pruning
     for as_of in (-1, "e2"):
         tt = lake.read(filter_expr="turn_idx >= 2000", as_of=as_of).to_pandas()
         assert lake._last_read_pruned == 2

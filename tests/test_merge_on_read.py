@@ -165,6 +165,93 @@ def test_merge_on_read_runs_at_most_cpus_loader_tasks(ray_session, tmp_path):
     # two partitions: no more tasks than partitions
     ds = lake.read(parts=[0, 3], filter=pc.field("turn_idx") >= 0).materialize()
     assert _loader_tasks(ds) == 2
+    # a compacted lake loads through the same tasks, never a parquet scan
+    lake.optimize()
+    assert not lake._has_deltas()
+    ds = lake.read().materialize()
+    assert ds.count() == lake.final_table().num_rows
+    assert _loader_tasks(ds) == cpus
+    assert "ReadParquet" not in ds.stats()
+
+
+def _append(lo: int, n: int, score: bool = False) -> pa.Table:
+    """A pure-insert epoch of ``n`` fresh keys; with ``score``, the
+    epoch adds a float column."""
+    tbl = pa.table({
+        "lsn": pa.array(np.arange(lo, lo + n), pa.int64()),
+        "op": ["insert"] * n,
+        "conv_id": [f"c{i % 7}" for i in range(n)],
+        "turn_idx": pa.array(np.arange(lo, lo + n, dtype=np.int32)),
+        "text": [f"t{lo + i}" for i in range(n)],
+    })
+    if score:
+        tbl = tbl.append_column(
+            "score", pa.array(np.arange(n, dtype=np.float64)))
+    return tbl
+
+
+def test_append_only_read_after_schema_evolution(ray_session, tmp_path):
+    """An append-only partition's files are read one by one without a
+    merge; each is conformed to the registry before the projection and
+    the filters, so a column only the later epoch carries reads as nulls
+    from the earlier file."""
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=1)
+    lake.apply_changes(_append(0, 100), epoch_id="e0", append_only=True)
+    lake.apply_changes(_append(1000, 100, score=True), epoch_id="e1",
+                       append_only=True)
+    assert len(lake.manifest.partitions["0"]["files"]) == 2
+    assert not lake._has_deltas()
+    final = lake.final_table()
+    assert final.num_rows == 200
+
+    cols = ["conv_id", "score"]
+    got = _table(lake.read(columns=cols))
+    assert got.column_names == cols
+    assert got.column("score").null_count == 100
+    by = [(c, "ascending") for c in cols]
+    assert got.sort_by(by).equals(final.select(cols).sort_by(by))
+
+    flt = pc.field("score") > 10
+    want = pads.dataset(final).to_table(filter=flt)
+    assert want.num_rows == 89
+    assert _sorted(_table(lake.read(filter=flt))).equals(want)
+    assert _sorted(_table(lake.read(filter_expr="score > 10"))).equals(want)
+
+
+def test_zone_map_prunes_compacted_partitions_only(ray_session, tmp_path):
+    """Zone-map pruning is decided per partition. A lake of 4 partitions
+    gets an update epoch that moves ``x`` of turns 0-99 out of range, as
+    delta files; then half the lake is compacted into ``turn_idx``
+    clusters. A range read on ``x`` drops chunk files of the compacted
+    half. The other half must open its delta files, whose ranges exclude
+    the predicate: skipping them would resurrect the superseded rows."""
+    n = 2000
+    i = np.arange(n)
+    base = pa.table({
+        "lsn": pa.array(i, pa.int64()), "op": ["insert"] * n,
+        "conv_id": [f"c{v % 40}" for v in i],
+        "turn_idx": pa.array(i, pa.int32()), "x": pa.array(i, pa.int64()),
+    })
+    head = base.slice(0, 100)
+    upd = pa.table({
+        "lsn": pa.array(n + i[:100], pa.int64()), "op": ["update"] * 100,
+        "conv_id": head.column("conv_id"), "turn_idx": head.column("turn_idx"),
+        "x": pa.array(10_000 + i[:100], pa.int64()),
+    })
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    lake.apply_changes(base, epoch_id="e0")
+    lake.apply_changes(upd, epoch_id="e1")
+    lake.optimize(parts=[0, 1], cluster_by=["turn_idx"])
+    state = lake.manifest.partitions
+    assert not lake._has_deltas({k: state[k] for k in "01"})
+    assert all(lake._has_deltas({k: state[k]}) for k in "23")
+
+    final = lake.final_table()
+    want = pads.dataset(final).to_table(filter=pc.field("x") < 150)
+    assert sorted(want.column("turn_idx").to_pylist()) == list(range(100, 150))
+    got = _table(lake.read(filter_expr="x < 150"))
+    assert lake._last_read_pruned > 0
+    assert _sorted(got).equals(want)
 
 
 def _feed_model(epochs: list[pa.Table]) -> list[set]:
