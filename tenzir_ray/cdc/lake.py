@@ -196,25 +196,30 @@ class _NormalizeCombine:
 
 
 def _load_stored(root: str, rel: str, registry: SchemaRegistry,
-                 filters=None) -> pa.Table:
+                 key: "str | None" = None) -> pa.Table:
     """Load a lake file (base or delta) → conformed payload + lsn + op,
     the row shape :func:`_winners` merges. Base files carry implicit
     op=insert; delta files persist OP_COL.
-    ``filters`` (pyarrow.parquet DNF) push into the scan — only safe for
-    predicates that commute with the LWW merge, i.e. equality on the
-    group-key prefix (conv_id): filtering keeps whole (conv, turn)
-    groups, so merge-then-filter ≡ filter-then-merge.
 
-    An unfiltered load is one plain ``ParquetFile`` read without Arrow's
-    thread pool: every caller already runs one Ray task per CPU, and
+    Every load is one plain ``ParquetFile`` read without Arrow's thread
+    pool: every caller already runs one Ray task per CPU, and
     ``pq.read_table``'s dataset layer and thread handoff cost more per
-    file than a delta file's few rows do."""
-    path = os.path.join(root, rel)
-    if filters is None:
-        with pq.ParquetFile(path) as f:
-            stored = f.read(use_threads=False)
-    else:
-        stored = pq.read_table(path, filters=filters)
+    file than a delta file's few rows do. A lake file is one row group,
+    so a pushed-down filter would decode the whole file anyway.
+
+    ``key`` keeps only that conversation's rows (``conv_id == key``),
+    before conforming, so only they are conformed. Equality on the
+    group-key prefix commutes with the LWW merge: it keeps whole
+    (conv, turn) groups, so merge-then-filter ≡ filter-then-merge. Which
+    files are worth loading for a key is the key bloom's call, not this
+    function's: :func:`_bloom_build` hashes a mix of ``crc32(key)``
+    (``"h": 2``) rather than the raw ``crc32`` the partition function
+    also uses, so a file of the key's partition that lacks the key is
+    loaded about 1% of the time, not about half of it."""
+    with pq.ParquetFile(os.path.join(root, rel)) as f:
+        stored = f.read(use_threads=False)
+    if key is not None:
+        stored = stored.filter(pc.equal(stored.column(KEY_COLS[0]), key))
     lsn_col = stored.column(LSN_COL).cast(pa.int64())
     if OP_COL in stored.column_names:
         op_col = stored.column(OP_COL).cast(pa.string())
@@ -230,10 +235,11 @@ def _load_stored(root: str, rel: str, registry: SchemaRegistry,
 
 
 def _live_rows(root: str, rels: list[str], registry: SchemaRegistry,
-               filters=None) -> pa.Table:
+               key: "str | None" = None) -> pa.Table:
     """Merge-on-read of one partition's files: the live rows (LWW winners,
-    tombstones dropped) as payload + lsn, in key order."""
-    tables = [_load_stored(root, rel, registry, filters) for rel in rels]
+    tombstones dropped) as payload + lsn, in key order; with ``key``,
+    only that conversation's (see :func:`_load_stored`)."""
+    tables = [_load_stored(root, rel, registry, key) for rel in rels]
     if not tables:
         return registry.schema.empty_table().append_column(
             "lsn", pa.array([], pa.int64()))
@@ -259,13 +265,32 @@ BLOOM_MAX_BYTES_ENV = "TENZIR_RAY_BLOOM_MAX_BYTES"
 DEFAULT_BLOOM_MAX_BYTES = 8192
 
 
+def _fmix64(x):
+    """murmur3's 64-bit finalizer, on a Python int or a uint64 array
+    alike (one kernel, so bloom build and probe cannot drift apart)."""
+    x ^= x >> 33
+    x = (x * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 33
+    x = (x * 0xC4CEB9FE1A85EC53) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 33)
+
+
 def _bloom_build(uniq: list) -> dict | None:
     """Bloom filter over a file's distinct key values (Kirsch-Mitzenmacher
     double hashing: h_i = h1 + i·h2). Built once per written file from the
     dictionary of uniques — hashing cost is per distinct conv, not per
     row — and carried in the manifest's file_stats so equality reads can
     skip whole files (the point-lookup analog of the zone maps; reference
-    synopsis: sketch part of partition_synopsis.hpp)."""
+    synopsis: sketch part of partition_synopsis.hpp).
+
+    ``h1``/``h2`` are the high and low halves of ``fmix64(crc32(key))``.
+    The partition function is ``crc32(key) % P`` too, so every key of a
+    file's partition shares ``crc32``'s low bits; CRC is affine, so the
+    raw ``crc32`` and a salted ``crc32`` (the legacy pair) vary together,
+    a 256-bit delta-file bloom saw only 256/P probe patterns per
+    partition and passed about half of the absent keys. The mix spreads
+    all 32 bits over both halves. ``"h": 2`` marks that hash; a bloom without ``h`` predates it
+    and :func:`_bloom_maybe_contains` probes it with the legacy pair."""
     n = len(uniq)
     if n == 0:
         return None
@@ -277,26 +302,31 @@ def _bloom_build(uniq: list) -> dict | None:
         return None
     m = int(min(max(256, n * 10), max_bits))
     k = max(1, min(8, round(0.693 * m / n)))
-    h1 = np.fromiter((zlib.crc32(str(u).encode()) for u in uniq),
-                     np.uint64, n)
-    h2 = np.fromiter((zlib.crc32(b"\x9e\x37" + str(u).encode()) for u in uniq),
-                     np.uint64, n) | np.uint64(1)
+    mix = _fmix64(np.fromiter((zlib.crc32(str(u).encode()) for u in uniq),
+                              np.uint64, n))
+    h1 = mix >> np.uint64(32)
+    h2 = (mix & np.uint64(0xFFFFFFFF)) | np.uint64(1)
     bits = np.zeros(m, dtype=bool)
     for i in range(k):
         bits[((h1 + np.uint64(i) * h2) % np.uint64(m)).astype(np.int64)] = True
-    return {"m": m, "k": k,
+    return {"m": m, "k": k, "h": 2,
             "b64": base64.b64encode(np.packbits(bits).tobytes()).decode()}
 
 
 def _bloom_maybe_contains(bl: dict, value) -> bool:
     """Definitely-absent test (False = provably not in the file). Tests
-    bytes in place — no full unpack per call (packbits is MSB-first)."""
+    bytes in place — no full unpack per call (packbits is MSB-first).
+    Plain Python ints throughout: a numpy scalar per probe costs ~10×."""
     import base64
 
     buf = base64.b64decode(bl["b64"])
     v = str(value).encode()
-    h1 = zlib.crc32(v)
-    h2 = zlib.crc32(b"\x9e\x37" + v) | 1
+    if bl.get("h") == 2:
+        mix = _fmix64(zlib.crc32(v))
+        h1, h2 = mix >> 32, (mix & 0xFFFFFFFF) | 1
+    else:
+        h1 = zlib.crc32(v)
+        h2 = zlib.crc32(b"\x9e\x37" + v) | 1
     m = bl["m"]
     for i in range(bl["k"]):
         pos = (h1 + i * h2) % m
@@ -1200,12 +1230,12 @@ class LakeTable:
         """Point lookup: the live rows of ONE conversation, LWW-merged.
 
         The 100 TB read path this layout exists for — cost is
-        O(one partition's surviving files), independent of table size:
+        O(the files that may hold the key), independent of table size:
         the key hash selects the single partition, per-file key BLOOMS
         (built at write time, carried in the manifest) skip files that
-        provably don't contain the conversation, and the survivors are
-        scanned with a pushed-down ``conv_id ==`` filter so only the
-        conversation's own row groups decode. Equality on conv_id
+        provably don't contain the conversation, and each survivor is
+        read whole (a lake file is one row group) and filtered on
+        ``conv_id ==`` before it is conformed. Equality on conv_id
         commutes with the LWW merge (it's the group-key prefix), so
         filter-then-merge is exact even across delta files and
         tombstones. ``self._last_lookup_pruned`` records how many files
@@ -1222,7 +1252,7 @@ class LakeTable:
             out = pa.table({c: pa.array([], pa.string()) for c in KEY_COLS})
         else:
             out = _live_rows(self.root, rels, self.registry,
-                             filters=probe).drop_columns(["lsn"])
+                             key).drop_columns(["lsn"])
         if columns is not None:
             out = out.select(columns)
         return out

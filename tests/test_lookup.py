@@ -2,15 +2,22 @@
 path): bloom membership properties, file skipping on reads, and
 lookup() exactness across delta files and tombstones."""
 
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
 
+from tenzir_ray.cdc.generate import gen_changes
 from tenzir_ray.cdc.lake import (
     LakeTable,
     _bloom_build,
     _bloom_maybe_contains,
+    _zone_skip,
     stable_part_of_uniques,
 )
+from tenzir_ray.cdc.oracle import naive_apply
 
 
 def test_bloom_no_false_negatives_and_low_fp():
@@ -20,6 +27,97 @@ def test_bloom_no_false_negatives_and_low_fp():
     probes = [f"other-{i}" for i in range(5000)]
     fp = sum(_bloom_maybe_contains(bl, p) for p in probes) / len(probes)
     assert fp < 0.05, fp  # ~1% design point, generous bound
+
+
+def _partition_keys(n: int, part: int = 0, num_partitions: int = 16) -> list[str]:
+    """The first ``n`` keys in the generator's ``conv-%08d`` format that
+    hash to ``part``: the keys one partition's files hold."""
+    keys = [f"conv-{i:08d}" for i in range(n * num_partitions * 2)]
+    parts = stable_part_of_uniques(keys, num_partitions)
+    return [k for k, p in zip(keys, parts) if p == part][:n]
+
+
+@pytest.mark.parametrize("n", [12, 24, 2000])
+def test_bloom_low_fp_within_one_partition(n):
+    # every key of a partition shares crc32 % P, the partition hash; a
+    # bloom hashed off the raw crc32 passed 37-100% of these probes
+    keys = _partition_keys(n + 5000)
+    members, probes = keys[:n], keys[n:]
+    bl = _bloom_build(members)
+    assert bl["m"] == max(256, 10 * n)  # 12/24 keys: a delta file's 256 bits
+    assert all(_bloom_maybe_contains(bl, k) for k in members)
+    fp = sum(_bloom_maybe_contains(bl, p) for p in probes) / len(probes)
+    assert fp < 0.05, fp
+
+
+#: ``_bloom_build([f"conv-{i:08d}" for i in range(50)])`` as lakes written
+#: before the mixed hash stored it: no ``"h"`` field
+LEGACY_BLOOM = {
+    "m": 500, "k": 7,
+    "b64": "RK3iFwc3Rtuv1Waxb879swtGolvm1zA8Flxv97IafC9zxLKBPztuyojaq2aEfecamu"
+           "/ZVuEUdmYg0GzozzpQ",
+}
+LEGACY_KEYS = [f"conv-{i:08d}" for i in range(50)]
+
+
+def test_legacy_bloom_has_no_false_negatives():
+    assert _bloom_build(LEGACY_KEYS)["h"] == 2
+    assert all(_bloom_maybe_contains(LEGACY_BLOOM, k) for k in LEGACY_KEYS)
+    stats = {"conv_id": [LEGACY_KEYS[0], LEGACY_KEYS[-1]],
+             "_bloom:conv_id": LEGACY_BLOOM}
+    for k in LEGACY_KEYS:
+        assert not _zone_skip(stats, [("conv_id", "==", k)]), k
+
+
+def test_mixed_legacy_and_new_blooms_keep_every_holding_file():
+    # one partition: the legacy base file, then delta files written with
+    # the new hash, each holding a few of the base's keys and new ones
+    files = {"epoch-e0": (LEGACY_KEYS, LEGACY_BLOOM)}
+    for e in range(1, 9):
+        keys = LEGACY_KEYS[e * 5:e * 5 + 4] + [f"conv-{900 + 10 * e + j:08d}"
+                                               for j in range(3)]
+        files[f"delta-e{e}"] = (keys, _bloom_build(keys))
+    every = {k for keys, _ in files.values() for k in keys}
+    for k in every:
+        kept = {rel for rel, (_, bl) in files.items()
+                if not _zone_skip({"_bloom:conv_id": bl}, [("conv_id", "==", k)])}
+        holding = {rel for rel, (keys, _) in files.items() if k in keys}
+        assert holding <= kept, (k, holding - kept)
+
+
+def _file_keys(root: str, rel: str) -> set:
+    return set(pq.read_table(os.path.join(root, rel),
+                             columns=["conv_id"]).column(0).to_pylist())
+
+
+def test_lookup_opens_only_files_holding_the_key(ray_session, tmp_path):
+    # a base epoch (every insert), then 8 small update/delete epochs: each
+    # partition's delta files hold 8-20 Zipf-hot conversations
+    ch = gen_changes(6400, seed=5, n_convs=400)
+    lsn = ch.column("lsn")
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    bounds = [(0, 4480)] + [(4480 + 240 * e, 4720 + 240 * e) for e in range(8)]
+    for e, (lo, hi) in enumerate(bounds):
+        sel = pc.and_(pc.greater_equal(lsn, lo), pc.less(lsn, hi))
+        lake.apply_changes(ch.filter(sel), epoch_id=f"e{e}")
+    parts = lake.manifest.partitions
+    assert all(len(info["files"]) == 9 for info in parts.values())
+    held = {rel: _file_keys(lake.root, rel)
+            for info in parts.values() for rel in info["files"]}
+
+    want = naive_apply(ch)
+    convs = sorted(set(ch.column("conv_id").to_pylist()))
+    excess = []
+    for c in convs:
+        got = lake.lookup(c)
+        exp = want.filter(pc.equal(want.column("conv_id"), c))
+        assert got.select(exp.column_names).equals(exp), c
+        files = parts[str(int(stable_part_of_uniques([c], 4)[0]))]["files"]
+        opened = len(files) - lake._last_lookup_pruned
+        holding = sum(c in held[rel] for rel in files)
+        assert opened >= holding, c
+        excess.append(opened - holding)
+    assert sum(excess) / len(excess) < 0.25, excess
 
 
 def test_bloom_cap_respected(monkeypatch):

@@ -1,5 +1,6 @@
 """Merge-on-read reader: ``_load_stored``'s plain unthreaded read returns
-what the ``pq.read_table`` path returned, ``read()``'s CPU-sized loader
+what the ``pq.read_table`` path returned (whole, and keyed as a
+``conv_id ==`` pushed-down filter), ``read()``'s CPU-sized loader
 tasks return the live table under every option, and the preimage change
 feed matches a dict model of the lake."""
 
@@ -21,10 +22,14 @@ from tenzir_ray.cdc.oracle import naive_apply
 from tenzir_ray.cdc.registry import SchemaRegistry
 
 
-def _load_via_read_table(root: str, rel: str, registry: SchemaRegistry) -> pa.Table:
+def _load_via_read_table(root: str, rel: str, registry: SchemaRegistry,
+                         key: "str | None" = None) -> pa.Table:
     """The reference load: ``pq.read_table`` through the datasets layer,
-    implicit ``op`` built with ``np.repeat``."""
-    stored = pq.read_table(os.path.join(root, rel))
+    ``key`` pushed down as a DNF filter, implicit ``op`` built with
+    ``np.repeat``."""
+    stored = pq.read_table(
+        os.path.join(root, rel),
+        filters=None if key is None else [("conv_id", "==", key)])
     lsn_col = stored.column(LSN_COL).cast(pa.int64())
     if OP_COL in stored.column_names:
         op_col = stored.column(OP_COL).cast(pa.string())
@@ -35,9 +40,10 @@ def _load_via_read_table(root: str, rel: str, registry: SchemaRegistry) -> pa.Ta
     return payload.append_column("lsn", lsn_col).append_column("op", op_col)
 
 
-def _assert_same_load(root: str, rel: str, registry: SchemaRegistry) -> pa.Table:
-    got = _load_stored(root, rel, registry)
-    want = _load_via_read_table(root, rel, registry)
+def _assert_same_load(root: str, rel: str, registry: SchemaRegistry,
+                      key: "str | None" = None) -> pa.Table:
+    got = _load_stored(root, rel, registry, key)
+    want = _load_via_read_table(root, rel, registry, key)
     assert got.schema.equals(want.schema), (got.schema, want.schema)
     assert got.equals(want)
     return got
@@ -77,6 +83,11 @@ def test_load_stored_matches_read_table(tmp_path):
     assert got.column("op").type == pa.string()
     got = _assert_same_load(root, "part=0/delta-e2.parquet", reg)
     assert got.column("op").to_pylist() == ["update", "delete"]
+    keyed = {rel: {k: _assert_same_load(root, rel, reg, k).num_rows
+                   for k in ("a", "b", "zz")}
+             for rel in ("part=0/epoch-e1.parquet", "part=0/delta-e2.parquet")}
+    assert keyed == {"part=0/epoch-e1.parquet": {"a": 2, "b": 1, "zz": 0},
+                     "part=0/delta-e2.parquet": {"a": 1, "b": 1, "zz": 0}}
 
     # both files now predate an evolution: an added column reads as nulls,
     # a widened int is cast
@@ -85,6 +96,9 @@ def test_load_stored_matches_read_table(tmp_path):
         got = _assert_same_load(root, rel, reg)
         assert got.schema.field("tokens").type == pa.int64()
         assert got.column("score").null_count == got.num_rows
+        for k in ("a", "b", "zz"):
+            got = _assert_same_load(root, rel, reg, k)
+            assert got.schema.field("tokens").type == pa.int64()
 
 
 def _evolving_lake(root: str) -> tuple[LakeTable, pa.Table]:
@@ -112,7 +126,9 @@ def test_load_stored_matches_read_table_on_lake_files(ray_session, tmp_path):
     assert {"epoch", "delta"} <= kinds
     assert lake.registry.schema.field("turn_idx").type == pa.int64()
     for rel in sorted(rels):
-        _assert_same_load(lake.root, rel, lake.registry)
+        convs = _assert_same_load(lake.root, rel, lake.registry).column("conv_id")
+        for k in (convs[0].as_py(), convs[-1].as_py(), "conv-absent"):
+            _assert_same_load(lake.root, rel, lake.registry, k)
 
 
 def test_read_equals_final_table(ray_session, tmp_path):
