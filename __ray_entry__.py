@@ -4031,10 +4031,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return _build_sql_lake(sf, "replay").final_table()
 
     def cdc_replay_obj(sf):
-        # cdc_replay_sql's lake over the object-store exchange with
-        # salted sub-buckets: same SQL oracle, other transport
-        return _build_sql_lake(sf, "replay_obj", transport="object",
-                               num_salts=4).final_table()
+        # cdc_replay_sql's lake over the object-store exchange: same SQL
+        # oracle, other transport
+        return _build_sql_lake(sf, "replay_obj",
+                               transport="object").final_table()
 
     def debezium_replay(sf):
         # the wire-format half of the flagship pipeline: Debezium JSON

@@ -25,33 +25,27 @@ Dataflow per epoch (one bounded chunk of the binlog)::
     read changes (Dataset, arrival order ≠ lsn order)
       → Exchange.run(transform=_NormalizeCombine)   # stages/exchange.py:
         #   the input's blocks, grouped up to batch_size rows, one plain
-        #   Ray task per group. Per batch: reject null keys/lsn/op,
-        #   PARTIAL LWW reduce (combiner — first line of skew defense),
-        #   conform to the registry schema, tag each row with its
-        #   bucket; the task then packs the group's rows into the one
-        #   exchange (fs staging file or object-store segments).
-        #   Partition k = crc32(conv_id) % P owns buckets [k*S, k*S+S); a
-        #   cold partition uses only bucket k*S, a salted hot one spreads
-        #   over all S by lsn % S. Retry-safe: the exchange index only
+        #   Ray task per group. Per batch: reject null keys/lsn/op and
+        #   unknown ops, PARTIAL LWW reduce (combiner — the skew defense:
+        #   a hot key leaves each batch as one row per turn), conform to
+        #   the registry schema, tag each row with its bucket, the
+        #   partition k = crc32(conv_id) % P; the task then packs the
+        #   group's rows into the one exchange (fs staging file or
+        #   object-store segments). Retry-safe: the exchange index only
         #   names successful attempts' outputs.
-      [→ one Ray task per salted sub-bucket]        # optional salted
-        #   pre-reduce (north rule): LWW-reduce one sub-bucket. With
-        #   num_salts="auto" only the partitions whose recorded volume
-        #   crossed the threshold last epoch are salted.
       → min(touched partitions, CPUs) Ray tasks     # _reduce_group:
         #   every n-th touched partition to the same task; a task
         #   reduces its partitions one at a time (_PartitionReducer):
-        #   read the bucket (or take the salt pre-reduce outputs); a full
-        #   rewrite also loads the partition's live files. One kernel
-        #   call picks the LWW winners in (conv_id, turn_idx) order; the
-        #   mode only names the file (epoch-/delta-/append-). Write it,
-        #   emit a lineage record
+        #   read the partition's bucket; a full rewrite also loads the
+        #   partition's live files. One kernel call picks the LWW winners
+        #   in (conv_id, turn_idx) order; the mode only names the file
+        #   (epoch-/delta-/append-). Write it, emit a lineage record
       → driver collects the tiny lineage records → atomic manifest commit
 
-Every merge — the stage-1 combiner, the stage-1.5 pre-reduce, stage 2,
-merge-on-read, ``lookup``, ``final_table`` and ``optimize`` — is the one
-LWW kernel :func:`_winners`: one dictionary encode of ``conv_id``, one
-integer lexsort, winners out already key-sorted.
+Every merge — the stage-1 combiner, stage 2, merge-on-read, ``lookup``,
+``final_table`` and ``optimize`` — is the one LWW kernel
+:func:`_winners`: one dictionary encode of ``conv_id``, one integer
+lexsort, winners out already key-sorted.
 
 Scale notes: P (num_partitions) is chosen so one partition's live rows
 fit a worker's heap (e.g. 64Ki partitions at 100 TB); an epoch is a
@@ -80,23 +74,13 @@ import pyarrow.parquet as pq
 
 from tenzir_ray.cdc.manifest import REGISTRY_NAME, Manifest
 from tenzir_ray.cdc.registry import SchemaRegistry
+from tenzir_ray.nputil import fmix64
 
 META_COLS = ("lsn", "op")
 KEY_COLS = ("conv_id", "turn_idx")
 LSN_COL = "_lsn"  # lsn column name as stored in lake files
 OP_COL = "_op"    # op column as stored in DELTA files (delete tombstones)
 CHANGE_TYPE_COL = "_change_type"  # preimage-feed classification column
-
-#: auto-salt gate: a partition whose POST-COMBINE change volume exceeded
-#: this many rows last epoch gets salted sub-partitioning this epoch.
-#: Measured on this box (BENCH/BASELINE.md): the per-batch LWW combiner
-#: absorbs Zipf-hot conversations and the extra salt exchange is pure
-#: overhead until a single partition's reduce input no longer fits one
-#: worker's heap — so the default threshold is set at that regime, not
-#: at "skew exists". Override with $TENZIR_RAY_SALT_THRESHOLD.
-SALT_THRESHOLD_ENV = "TENZIR_RAY_SALT_THRESHOLD"
-DEFAULT_SALT_THRESHOLD = 16_000_000
-AUTO_NUM_SALTS = 8
 
 
 def _factorize(col) -> tuple[np.ndarray, pa.Array]:
@@ -157,20 +141,14 @@ def _bucket_of(batch: pa.Table, num_buckets: int) -> np.ndarray:
 
 
 class _NormalizeCombine:
-    """Stage-1 exchange transform: reject null keys/lsn/op, partial-LWW-
-    reduce the batch, conform the winners' payload to the registry schema,
-    and attach ``_bucket``: partition ``k = crc32(conv_id) % P`` times
-    ``num_salts``, plus ``lsn % num_salts`` when ``k`` is salted."""
+    """Stage-1 exchange transform: reject null keys/lsn/op and unknown ops,
+    partial-LWW-reduce the batch, conform the winners' payload to the
+    registry schema, and attach ``_bucket``: the partition
+    ``crc32(conv_id) % P``."""
 
-    def __init__(self, registry_json: str, num_partitions: int, num_salts: int,
-                 salt_parts: "frozenset[int] | None"):
+    def __init__(self, registry_json: str, num_partitions: int):
         self.registry = SchemaRegistry.from_json(registry_json)
         self.num_partitions = num_partitions
-        self.num_salts = num_salts  # ≥ 1
-        # None = salt every partition (explicit num_salts>1); a set = salt
-        # ONLY these partitions (per-partition auto gate) — cold partitions
-        # keep a single bucket
-        self.salt_parts = salt_parts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         for c in (*KEY_COLS, *META_COLS):
@@ -178,21 +156,21 @@ class _NormalizeCombine:
                 # a null key or lsn has no place in the LWW order, and a
                 # null op would poison every later merge-on-read
                 raise ValueError(f"change batch has null {c!r} values")
+        # checked before the combine, so a losing row's op is checked too:
+        # any other op would be applied as an upsert
+        bad = set(pc.unique(batch.column("op")).to_pylist()) - {
+            "insert", "update", "delete"}
+        if bad:
+            raise ValueError(f"change batch has unknown op values "
+                             f"{sorted(bad)}; expected insert, update or delete")
         win = _winners(batch)
         out = self.registry.conform(win.select(
             [c for c in win.column_names if c not in META_COLS]))
-        lsn = win.column("lsn").to_numpy(zero_copy_only=False)
-        out = out.append_column("lsn", pa.array(lsn, pa.int64()))
+        out = out.append_column("lsn", win.column("lsn").cast(pa.int64()))
         out = out.append_column("op", win.column("op").cast(pa.string()))
         codes, uniq = _factorize(out.column("conv_id"))
         part = stable_part_of_uniques(uniq.to_pylist(), self.num_partitions)[codes]
-        bucket = part * np.int32(self.num_salts)
-        if self.num_salts > 1:
-            salt = (lsn % self.num_salts).astype(np.int32)
-            if self.salt_parts is not None:
-                salt[~np.isin(part, list(self.salt_parts))] = 0
-            bucket += salt
-        return out.append_column(BUCKET_COL, pa.array(bucket))
+        return out.append_column(BUCKET_COL, pa.array(part))
 
 
 def _load_stored(root: str, rel: str, registry: SchemaRegistry,
@@ -265,16 +243,6 @@ BLOOM_MAX_BYTES_ENV = "TENZIR_RAY_BLOOM_MAX_BYTES"
 DEFAULT_BLOOM_MAX_BYTES = 8192
 
 
-def _fmix64(x):
-    """murmur3's 64-bit finalizer, on a Python int or a uint64 array
-    alike (one kernel, so bloom build and probe cannot drift apart)."""
-    x ^= x >> 33
-    x = (x * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 33
-    x = (x * 0xC4CEB9FE1A85EC53) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 33)
-
-
 def _bloom_build(uniq: list) -> dict | None:
     """Bloom filter over a file's distinct key values (Kirsch-Mitzenmacher
     double hashing: h_i = h1 + i·h2). Built once per written file from the
@@ -286,11 +254,12 @@ def _bloom_build(uniq: list) -> dict | None:
     ``h1``/``h2`` are the high and low halves of ``fmix64(crc32(key))``.
     The partition function is ``crc32(key) % P`` too, so every key of a
     file's partition shares ``crc32``'s low bits; CRC is affine, so the
-    raw ``crc32`` and a salted ``crc32`` (the legacy pair) vary together,
-    a 256-bit delta-file bloom saw only 256/P probe patterns per
-    partition and passed about half of the absent keys. The mix spreads
-    all 32 bits over both halves. ``"h": 2`` marks that hash; a bloom without ``h`` predates it
-    and :func:`_bloom_maybe_contains` probes it with the legacy pair."""
+    raw ``crc32`` and the ``crc32`` of a prefixed key (the legacy pair)
+    vary together, a 256-bit delta-file bloom saw only 256/P probe
+    patterns per partition and passed about half of the absent keys. The
+    mix spreads all 32 bits over both halves. ``"h": 2`` marks that hash;
+    a bloom without ``h`` predates it and :func:`_bloom_maybe_contains`
+    probes it with the legacy pair."""
     n = len(uniq)
     if n == 0:
         return None
@@ -302,8 +271,8 @@ def _bloom_build(uniq: list) -> dict | None:
         return None
     m = int(min(max(256, n * 10), max_bits))
     k = max(1, min(8, round(0.693 * m / n)))
-    mix = _fmix64(np.fromiter((zlib.crc32(str(u).encode()) for u in uniq),
-                              np.uint64, n))
+    mix = fmix64(np.fromiter((zlib.crc32(str(u).encode()) for u in uniq),
+                             np.uint64, n))
     h1 = mix >> np.uint64(32)
     h2 = (mix & np.uint64(0xFFFFFFFF)) | np.uint64(1)
     bits = np.zeros(m, dtype=bool)
@@ -322,7 +291,7 @@ def _bloom_maybe_contains(bl: dict, value) -> bool:
     buf = base64.b64decode(bl["b64"])
     v = str(value).encode()
     if bl.get("h") == 2:
-        mix = _fmix64(zlib.crc32(v))
+        mix = fmix64(zlib.crc32(v))
         h1, h2 = mix >> 32, (mix & 0xFFFFFFFF) | 1
     else:
         h1 = zlib.crc32(v)
@@ -487,7 +456,8 @@ def _rank_quantize(col, bits: int) -> np.ndarray:
     t = arr.type
     if pa.types.is_string(t) or pa.types.is_large_string(t):
         d = arr.dictionary_encode()
-        idx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        idx = pc.fill_null(d.indices, -1).to_numpy(
+            zero_copy_only=False).astype(np.int64)
         dict_order = pc.sort_indices(d.dictionary).to_numpy(
             zero_copy_only=False).astype(np.int64)
         inv = np.empty(len(dict_order), dtype=np.int64)
@@ -526,26 +496,10 @@ def _zorder_argsort(tbl: pa.Table, cols: list[str]) -> np.ndarray:
     return np.argsort(z, kind="stable")
 
 
-def _salt_reduce(reducer: "_PartitionReducer", bucket: int) -> pa.Table:
-    """Stage 1.5 task: LWW-reduce one salted sub-bucket of a hot partition."""
-    return _winners(reducer.read([bucket]))
-
-
-def _reduce_group(reducer: "_PartitionReducer", parts: list,
-                  pre: dict) -> list[dict]:
-    """Stage 2 task (both transports): reduce each ``(part, bucket)`` in
-    turn from its exchange bucket, or from its stage-1.5 outputs
-    ``pre[part]`` when it was salted. Those refs sit inside an argument,
-    which Ray does not resolve, so the task fetches them itself."""
-    import ray
-
-    out = []
-    for part, bucket in parts:
-        raw = (pa.concat_tables(ray.get(pre[part]),
-                                promote_options="permissive")
-               if part in pre else reducer.read([bucket]))
-        out.append(reducer._reduce_one(part, raw))
-    return out
+def _reduce_group(reducer: "_PartitionReducer", parts: list) -> list[dict]:
+    """Stage 2 task (both transports): reduce each partition in turn from
+    its exchange bucket."""
+    return [reducer._reduce_one(part, reducer.read([part])) for part in parts]
 
 
 class _PartitionReducer:
@@ -848,12 +802,11 @@ class LakeTable:
         is persisted in the lineage record atomically with the data —
         source-offset checkpoints go here (see cdc/broker.py).
 
-        ``num_salts``: 0/1 = unsalted, N>1 = salted sub-partition
-        pre-reduce for hot keys, ``"auto"`` = gate on the previous
-        epoch's recorded per-partition change volume (salt only past
-        $TENZIR_RAY_SALT_THRESHOLD rows in one partition — below that
-        the per-batch LWW combiner absorbs skew more cheaply, measured
-        in BENCH/BASELINE.md).
+        ``num_salts`` is ignored: every epoch runs one exchange whose
+        bucket is the partition, and the per-batch LWW combiner is the
+        skew defense. A value other than 0 or 1 warns once
+        (``DeprecationWarning``). The keyword goes once the benchmark's
+        traced probe (``cdcbench/client.py``) stops passing it.
 
         ``transport`` selects the exchange fabric (default: the
         ``TENZIR_RAY_EXCHANGE_TRANSPORT`` env var, else "fs"):
@@ -861,7 +814,7 @@ class LakeTable:
         storage on a cluster — fastest where fast shared POSIX storage
         exists); "object" = bucket segments ride Ray's object store
         (plasma moves bytes node-to-node and spills — no shared-FS
-        requirement). Both run the one :class:`Exchange`, salted or not.
+        requirement). Both run the one :class:`Exchange`.
 
         ``change_feed=True`` additionally persists each partition's NET
         applied changes (intra-epoch LWW winners incl. delete tombstones)
@@ -894,25 +847,15 @@ class LakeTable:
         transport = transport or default_transport()
         if transport not in ("fs", "object"):
             raise ValueError(f"unknown exchange transport {transport!r}")
-        salt_parts: "frozenset[int] | None" = None  # None = salt every part
-        if num_salts == "auto":
-            # Salting must be decided BEFORE stage 1 (the transform tags
-            # each row's sub-bucket), but skew is only measured BY
-            # stage 1 — so auto gates on the PREVIOUS epoch's recorded
-            # exchange stats: CDC epochs are temporally homogeneous, a
-            # conversation hot this epoch was almost surely hot last
-            # epoch. First epoch (no history) runs unsalted — the
-            # per-batch LWW combiner bounds the damage meanwhile.
-            # The gate is PER PARTITION: only partitions whose recorded
-            # volume crossed the threshold are salted; cold partitions
-            # keep a single bucket in the same epoch.
-            num_salts, salt_parts = self._auto_salt_plan()
-        # empty epochs still record zeroed exchange stats so the auto
-        # gate un-salts after a table goes quiet
+        if num_salts not in (0, 1):
+            import warnings
+
+            warnings.warn("apply_changes(num_salts=) is ignored: every "
+                          "epoch runs one exchange, one bucket per "
+                          "partition", DeprecationWarning, stacklevel=2)
         empty_meta = {
             **(epoch_meta or {}),
-            "_exchange": {"rows": 0, "max_part_rows": 0,
-                          "num_salts": int(num_salts)},
+            "_exchange": {"rows": 0, "max_part_rows": 0},
         }
 
         # -- schema evolution: merge the incoming payload schema ---------
@@ -932,8 +875,7 @@ class LakeTable:
             # the segment is marked applied (tail_directory resume gate)
             self.manifest.commit_epoch(epoch_id, -1, -1, {}, meta=empty_meta)
             return {"epoch_id": epoch_id, "lsn_min": -1, "lsn_max": -1,
-                    "partitions_touched": 0, "rows_live": 0,
-                    "num_salts": int(num_salts)}
+                    "partitions_touched": 0, "rows_live": 0}
         reg_json = self.registry.to_json()
         payload_cols = list(self.registry.schema.names)
 
@@ -943,7 +885,6 @@ class LakeTable:
 
         import ray as ray_core
 
-        S = max(1, int(num_salts))
         # one staging dir per attempt: a concurrent writer of the same
         # epoch id stages apart, and a crashed attempt's dir is gc()'s
         staging = os.path.join(self.root, "_staging",
@@ -951,19 +892,13 @@ class LakeTable:
         try:
             _t0 = time.perf_counter()
             ex = Exchange("cdc", transport, staging=staging)
-            index, _, bucket_rows = ex.run(
-                changes, _bucket_of, self.num_partitions * S, "cdc",
-                transform=_NormalizeCombine(reg_json, self.num_partitions,
-                                            S, salt_parts),
+            # post-combine change rows per partition (bucket = partition)
+            index, _, part_rows = ex.run(
+                changes, _bucket_of, self.num_partitions, "cdc",
+                transform=_NormalizeCombine(reg_json, self.num_partitions),
                 batch_size=batch_size,
             )
-            # post-combine change rows per partition
-            frag_rows: dict[int, int] = {}
-            for b, n in bucket_rows.items():
-                frag_rows[b // S] = frag_rows.get(b // S, 0) + n
-            touched = sorted(frag_rows)
-            salted = {k for k in touched if S > 1 and (
-                salt_parts is None or k in salt_parts)}
+            touched = sorted(part_rows)
             if not touched:
                 # zero-row epoch (e.g. an empty binlog segment): commit an
                 # empty lineage record so resume never re-crashes on it
@@ -971,8 +906,7 @@ class LakeTable:
                                            meta=empty_meta,
                                            registry_json=reg_json)
                 return {"epoch_id": epoch_id, "lsn_min": -1, "lsn_max": -1,
-                        "partitions_touched": 0, "rows_live": 0,
-                        "num_salts": int(num_salts)}
+                        "partitions_touched": 0, "rows_live": 0}
             base_files = {
                 int(k): info["files"]
                 for k, info in self.manifest.partitions.items()
@@ -1000,18 +934,18 @@ class LakeTable:
                         continue  # no base yet → full
                     base_rows = info.get("rows", 0) or 0
                     pend = info.get("delta_rows", 0) or 0
-                    ch = frag_rows.get(k, 0)
+                    ch = part_rows[k]
                     if base_rows > 0 and ch < delta_ratio * base_rows and (
                         pend + ch
                     ) < 2 * delta_ratio * base_rows:
                         modes[k] = "delta"
 
-            # stages 1.5 and 2 run as plain Ray tasks, not a Dataset
-            # pipeline: a FIXED fan-out of independent tasks with tiny
-            # outputs, where the Dataset API adds only launch overhead
-            # (~0.5-1s per epoch). Task retries on worker death
-            # are preserved (ray.remote default max_retries). The reducer
-            # (with the exchange reader) is stored once in plasma.
+            # stage 2 runs as plain Ray tasks, not a Dataset pipeline: a
+            # FIXED fan-out of independent tasks with tiny outputs, where
+            # the Dataset API adds only launch overhead (~0.5-1s per
+            # epoch). Task retries on worker death are preserved
+            # (ray.remote default max_retries). The reducer (with the
+            # exchange reader) is stored once in plasma.
             ex_schema = pa.schema([*self.registry.schema,
                                    pa.field("lsn", pa.int64()),
                                    pa.field("op", pa.string()),
@@ -1024,19 +958,6 @@ class LakeTable:
                 token_cols=self._token_bloom_cols,
             ))
 
-            # -- optional stage 1.5: salted sub-bucket pre-reduce --------
-            salt_task = ray_core.remote(_salt_reduce)
-            pre: dict[int, list] = {}
-            for b in sorted(index):
-                if b // S in salted:
-                    pre.setdefault(b // S, []).append(
-                        salt_task.remote(reducer_ref, b))
-            # the salt pre-reduce counts toward stage 1's reported wall
-            pending = [r for refs in pre.values() for r in refs]
-            if pending:
-                ray_core.wait(pending, num_returns=len(pending),
-                              fetch_local=False)
-
             # -- stage 2: min(touched, CPUs) tasks, every n-th touched
             #    partition to the same task; a task reduces its
             #    partitions one at a time ---------------------------------
@@ -1045,9 +966,7 @@ class LakeTable:
             n = max(1, min(len(touched), cpus))
             groups = [touched[i::n] for i in range(n)]
             reduce_task = ray_core.remote(_reduce_group)
-            refs = [reduce_task.remote(reducer_ref, [(k, k * S) for k in g],
-                                       {k: pre[k] for k in g if k in pre})
-                    for g in groups]
+            refs = [reduce_task.remote(reducer_ref, g) for g in groups]
             reduced = [r for rs in ray_core.get(refs) for r in rs]
             _t2 = time.perf_counter()
         finally:
@@ -1058,20 +977,13 @@ class LakeTable:
         part_results = {str(r["part"]): r["entry"] for r in reduced}
         lsn_min = min(r["lsn_lo"] for r in reduced)
         lsn_max = max(r["lsn_hi"] for r in reduced)
-        # exchange stats ride the lineage record (same atomic write):
-        # the next epoch's num_salts="auto" gate reads them back
-        # per-partition volumes (top 64 by rows — hot partitions are few
-        # by definition; a capped record keeps lineage bounded at high P.
-        # If >64 partitions are ALL past the salt threshold, the ones the
-        # cap drops merely stay unsalted — correctness holds)
-        top_parts = sorted(frag_rows.items(), key=lambda kv: -kv[1])[:64]
+        # exchange stats ride the lineage record (same atomic write), so
+        # an epoch's combine ratio and partition skew read from the lake
         commit_meta = {
             **(epoch_meta or {}),
             "_exchange": {
-                "rows": int(sum(frag_rows.values())),
-                "max_part_rows": int(max(frag_rows.values(), default=0)),
-                "part_rows": {str(k): int(v) for k, v in top_parts},
-                "num_salts": int(num_salts),
+                "rows": int(sum(part_rows.values())),
+                "max_part_rows": int(max(part_rows.values())),
             },
         }
         # OCC commit (multi-writer; see manifest.py): append/delta entries
@@ -1094,9 +1006,6 @@ class LakeTable:
             "partitions_touched": len(part_results),
             "rows_live": sum(e["rows"] + e["delta_rows"]
                              for e in part_results.values()),
-            "num_salts": int(num_salts),
-            # which partitions took the salted pre-reduce this epoch
-            "salted_parts": sorted(salted),
             # per-stage wall metrics (engine diagnostics; the reference's
             # per-operator metric stream analog, pipeline.hpp:180)
             "timings": {
@@ -1107,32 +1016,6 @@ class LakeTable:
                 "stage2_tasks": len(groups),
             },
         }
-
-    # ------------------------------------------------------------------
-    def _auto_salt_plan(self) -> "tuple[int, frozenset[int] | None]":
-        """Resolve ``num_salts="auto"`` from the most recent committed
-        epoch's exchange stats (see apply_changes): returns
-        ``(num_salts, salt_parts)``. Salting is per partition — only the
-        partitions whose post-combine change volume crossed the
-        one-worker-heap threshold last epoch are salted; everything else
-        keeps a single exchange bucket. ``salt_parts`` of
-        ``None`` (legacy lineage without part_rows) salts every partition."""
-        thr = int(os.environ.get(SALT_THRESHOLD_ENV, DEFAULT_SALT_THRESHOLD))
-        for e in reversed(self.manifest.epochs):
-            ex = (e.get("meta") or {}).get("_exchange")
-            if ex is None:
-                continue
-            part_rows = ex.get("part_rows")
-            if part_rows:
-                hot = frozenset(
-                    int(k) for k, v in part_rows.items() if int(v) > thr
-                )
-                return (AUTO_NUM_SALTS, hot) if hot else (0, None)
-            # legacy record (round-2 lineage): only the max is known
-            if ex.get("max_part_rows", 0) > thr:
-                return AUTO_NUM_SALTS, None
-            return 0, None
-        return 0, None
 
     # ------------------------------------------------------------------
     def _has_deltas(self, state: "dict | None" = None) -> bool:
@@ -1616,8 +1499,8 @@ class LakeTable:
         ds = parts[0]
         return ds.union(*parts[1:]) if len(parts) > 1 else ds
 
-    def tail_directory(self, log_dir: str, pattern: str = "*.parquet",
-                       num_salts: int = 0) -> list[dict]:
+    def tail_directory(self, log_dir: str,
+                       pattern: str = "*.parquet") -> list[dict]:
         """Tail a directory of binlog segment files (the Kafka/WAL consumer
         analog, reference plugins/kafka): each file, in sorted name order,
         is one epoch keyed by its filename — already-committed segments are
@@ -1630,12 +1513,8 @@ class LakeTable:
         results = []
         for path in sorted(globmod.glob(os.path.join(log_dir, pattern))):
             epoch_id = os.path.basename(path)
-            results.append(
-                self.apply_changes(
-                    ray.data.read_parquet(path), epoch_id=epoch_id,
-                    num_salts=num_salts,
-                )
-            )
+            results.append(self.apply_changes(
+                ray.data.read_parquet(path), epoch_id=epoch_id))
         return results
 
     def reshard(self, dest_root: str, num_partitions: int,
@@ -1976,18 +1855,6 @@ class LakeTable:
                 except FileNotFoundError:
                     pass
         return len(part_results)
-
-    def compact_hot(self, max_files: int = 8,
-                    compression_level: int = 10) -> int:
-        """Selective compaction: rebuild only partitions whose live file
-        count exceeds ``max_files`` (the automatic-rebuild policy,
-        rebuild.cpp:26 'undersized/outdated partitions')."""
-        hot = [
-            int(k)
-            for k, info in self.manifest.partitions.items()
-            if len(info.get("files", [])) > max_files
-        ]
-        return self.optimize(compression_level=compression_level, parts=hot)
 
     def truncate_lineage(self, keep_epochs: int = 100) -> int:
         """Retention for the lineage log (disk-monitor analog,

@@ -8,7 +8,8 @@ Deliberately simple and obviously correct; the distributed engine
 Semantics (shared contract with the engine):
 - apply order is decided by ``lsn``, never arrival order;
 - last writer wins per key ``(conv_id, turn_idx)``; ``delete`` removes the
-  key (a later-lsn insert/update may resurrect it);
+  key (a later-lsn insert/update may resurrect it); any op other than
+  ``insert``/``update``/``delete`` raises ``ValueError``;
 - payload columns = everything except ``lsn``/``op`` (schema evolution:
   whatever payload columns the log carries).
 """
@@ -38,8 +39,10 @@ def naive_apply(changes: pa.Table, base: pa.Table | None = None) -> pa.Table:
         key = (row["conv_id"], row["turn_idx"])
         if row["op"] == "delete":
             state.pop(key, None)
-        else:
+        elif row["op"] in ("insert", "update"):
             state[key] = {c: row[c] for c in payload_cols}
+        else:
+            raise ValueError(f"unknown op {row['op']!r} at lsn {row['lsn']}")
 
     out_rows = [state[k] for k in sorted(state.keys())]
     if not out_rows:

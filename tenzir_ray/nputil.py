@@ -25,10 +25,23 @@ def mix_key_hashes(df, cols) -> np.ndarray:
     return h
 
 
+def fmix64(x):
+    """murmur3's 64-bit finalizer, on a Python int or a uint64 array
+    alike, so the key bloom's build and probe and the exchange's
+    :func:`key_buckets` share one mixer. Not in place: ``key_buckets``
+    passes read-only zero-copy Arrow views. Persisted ``"h": 2`` key
+    blooms pin its output."""
+    x = x ^ (x >> 33)
+    x = (x * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
+    x = x ^ (x >> 33)
+    x = (x * 0xC4CEB9FE1A85EC53) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 33)
+
+
 def within_group_arange(counts: np.ndarray) -> np.ndarray:
     """[0..c0), [0..c1), ... concatenated — the standard grouped-arange
     used by every vectorized explode (chunks per doc, intervals per
-    segment, salts per partition)."""
+    segment)."""
     total = int(counts.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)

@@ -42,8 +42,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--append-only", action="store_true")
     ap.add_argument("--change-feed", choices=("off", "on", "preimages"),
                     default="off")
-    ap.add_argument("--salts", default="0",
-                    help="hot-key salting: an int or 'auto'")
     ap.add_argument("--batch-size", type=int, default=262144)
     ap.add_argument("--num-cpus", type=int, default=None,
                     help="only for standalone runs; ray job drivers attach")
@@ -68,12 +66,10 @@ def main(argv: list[str] | None = None) -> int:
                 lambda t, _lo=lo: t.filter(
                     pc.greater_equal(t.column("lsn"), _lo)),
                 batch_format="pyarrow")
-    salts: int | str = args.salts if args.salts == "auto" else int(args.salts)
     feed = {"off": False, "on": True, "preimages": "preimages"}[args.change_feed]
     t0 = time.monotonic()
     stats = lake.apply_changes(
-        ds, epoch_id=args.epoch_id, num_salts=salts,
-        batch_size=args.batch_size, change_feed=feed,
+        ds, epoch_id=args.epoch_id, batch_size=args.batch_size, change_feed=feed,
         append_only=args.append_only)
     secs = time.monotonic() - t0
     lo, hi = stats.get("lsn_min", -1), stats.get("lsn_max", -1)

@@ -5,8 +5,7 @@ lake's ``apply_changes``.
 A caller supplies ONE bucket-assignment function ``buckets(batch,
 num_buckets) -> int64 ndarray``: joins, setops and ``grouped_apply`` bind
 :func:`key_buckets` to their keys, the CDC lake passes its persisted
-partition function (salted hot partitions as sub-bucket ranges of the same
-index).
+partition function (one bucket per partition).
 
 Stage 1 is ONE driver for both transports (:meth:`Exchange.run`): it takes
 the input's blocks from Ray Data's own iterator
@@ -47,6 +46,7 @@ import pandas as pd
 import pyarrow as pa
 
 from tenzir_ray._ship import ship_by_value
+from tenzir_ray.nputil import fmix64
 
 _EXCHANGE_ROOT_CANDIDATES = ("/dev/shm", tempfile.gettempdir())
 
@@ -157,15 +157,6 @@ def default_buckets() -> int:
     return min(1024, max(32, 8 * cpus))
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (public domain construction) — uniform bucket
-    assignment from integer keys; numpy uint64 arithmetic wraps mod 2^64."""
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
 def key_buckets(batch: pa.Table, keys: list[str], num_buckets: int) -> np.ndarray:
     """Deterministic bucket per key tuple, agreeing across physically
     different but logically equal columns: integer families are widened
@@ -189,20 +180,20 @@ def key_buckets(batch: pa.Table, keys: list[str], num_buckets: int) -> np.ndarra
                 # 64-bit content hashes) — bitcast, don't value-cast
                 filled = pc.fill_null(col, 0).cast(pa.uint64())
                 vals = filled.to_numpy(zero_copy_only=False)
-                hk = _mix64(vals)
+                hk = fmix64(vals)
             else:
                 filled = pc.fill_null(col.cast(pa.int64()), 0)
                 vals = filled.to_numpy(zero_copy_only=False)
-                hk = _mix64(vals.astype(np.uint64))
+                hk = fmix64(vals.astype(np.uint64))
         elif pa.types.is_floating(t):
             filled = pc.fill_null(col.cast(pa.float64()), 0.0)
             vals = filled.to_numpy(zero_copy_only=False)
             vals = vals + 0.0  # -0.0 → +0.0 (copy; never mutate the buffer)
-            hk = _mix64(vals.view(np.uint64))
+            hk = fmix64(vals.view(np.uint64))
         elif pa.types.is_timestamp(t):
             filled = pc.fill_null(col.cast(pa.int64()), 0)
             vals = filled.to_numpy(zero_copy_only=False)
-            hk = _mix64(vals.astype(np.uint64))
+            hk = fmix64(vals.astype(np.uint64))
         else:
             d = col.dictionary_encode()
             if isinstance(d, pa.ChunkedArray):
@@ -222,7 +213,7 @@ def key_buckets(batch: pa.Table, keys: list[str], num_buckets: int) -> np.ndarra
         # by=["src","dst"] traffic with src==dst. Re-finalizing the
         # running hash before mixing in the next column breaks the
         # symmetry while staying deterministic across exchange sides.
-        h = _mix64(h ^ hk)
+        h = fmix64(h ^ hk)
     return (h % np.uint64(num_buckets)).astype(np.int64)
 
 

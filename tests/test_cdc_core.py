@@ -1,5 +1,5 @@
 """M0/M1: CDC core — generator determinism, oracle equivalence,
-exactly-once idempotence, crash recovery, multi-epoch resume, salting,
+exactly-once idempotence, crash recovery, multi-epoch resume, hot keys,
 schema evolution (SURVEY.md §7.2-§7.4)."""
 
 import glob
@@ -109,81 +109,61 @@ def test_crash_partial_files_ignored(ray_session, tmp_path):
 
 
 @pytest.mark.parametrize("transport", ["fs", "object"])
-def test_salted_subpartitioning(ray_session, tmp_path, transport):
-    """Skew path: salted pre-reduce must not change the result."""
-    changes = gen_changes(8_000, seed=13, n_convs=20)  # few convs → hot keys
-    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lake.apply_changes(changes, epoch_id="e1", num_salts=4,
-                       transport=transport)
-    _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
-
-
-def test_auto_salt_gating(ray_session, tmp_path, monkeypatch):
-    """num_salts="auto": epoch 1 runs unsalted (no history) and records
-    per-partition exchange volume in the lineage; epoch 2 salts iff the
-    recorded hottest partition crossed the threshold — and the result
-    equals the naive oracle either way."""
-    from tenzir_ray.cdc import lake as lake_mod
-
+def test_hot_key_skew(ray_session, tmp_path, transport):
+    """Few conversations → hot keys: the per-batch LWW combiner is the
+    only skew defense, one exchange bucket per partition, and the result
+    equals the oracle. The lineage's exchange stats are the post-combine
+    totals and nothing per partition."""
     changes = gen_changes(8_000, seed=13, n_convs=20)
-    lsn = changes.column("lsn")
-    e1 = changes.filter(pa.compute.less(lsn, 4000))
-    e2 = changes.filter(pa.compute.greater_equal(lsn, 4000))
-
     lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    r1 = lake.apply_changes(e1, epoch_id="e1", num_salts="auto")
-    assert r1["num_salts"] == 0  # no history yet
+    res = lake.apply_changes(changes, epoch_id="e1", transport=transport)
+    _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
+    assert "num_salts" not in res and "salted_parts" not in res
     ex = lake.manifest.epochs[-1]["meta"]["_exchange"]
-    assert ex["max_part_rows"] > 0 and ex["rows"] >= ex["max_part_rows"]
+    assert set(ex) == {"rows", "max_part_rows"}
+    assert ex["rows"] >= ex["max_part_rows"] > 0
 
-    # threshold below last epoch's hottest partition → auto salts now
-    monkeypatch.setenv(lake_mod.SALT_THRESHOLD_ENV, "1")
-    r2 = lake.apply_changes(e2, epoch_id="e2", num_salts="auto")
-    assert r2["num_salts"] == lake_mod.AUTO_NUM_SALTS
+
+def test_num_salts_ignored_with_warning(ray_session, tmp_path):
+    """``num_salts`` is accepted and ignored: the epoch applies exactly as
+    without it, and the caller is warned."""
+    changes = gen_changes(4_000, seed=13, n_convs=20)
+    plain = LakeTable(str(tmp_path / "plain"), num_partitions=4)
+    plain.apply_changes(changes, epoch_id="e1")
+    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    with pytest.warns(DeprecationWarning, match="num_salts"):
+        lake.apply_changes(changes, epoch_id="e1", num_salts=8)
+    _assert_tables_equal(lake.final_table(), plain.final_table())
     _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
 
-    # default threshold (16M) keeps auto OFF at this scale
-    monkeypatch.delenv(lake_mod.SALT_THRESHOLD_ENV)
-    r3 = lake.apply_changes(e2.slice(0, 100), epoch_id="e3", num_salts="auto")
-    assert r3["num_salts"] == 0
 
-    # auto salts on the object transport too (same exchange)
-    monkeypatch.setenv(lake_mod.SALT_THRESHOLD_ENV, "1")
-    r4 = lake.apply_changes(e2.slice(100, 100), epoch_id="e4",
-                            num_salts="auto", transport="object")
-    assert r4["num_salts"] == lake_mod.AUTO_NUM_SALTS
+def test_lineage_with_salt_stats_reopens(ray_session, tmp_path):
+    """A lake whose lineage still carries the old per-partition exchange
+    stats (``num_salts``, ``part_rows``) reopens and applies on."""
+    import json
 
-
-@pytest.mark.parametrize("transport", ["fs", "object"])
-def test_per_partition_auto_salt(ray_session, tmp_path, monkeypatch,
-                                 transport):
-    """Per-partition salt gate: with the threshold set between last
-    epoch's hottest and second-hottest partition volumes, ONLY the hot
-    partition is salted — the rest keep a single exchange bucket in the
-    same epoch — and the result still equals the oracle."""
-    from tenzir_ray.cdc import lake as lake_mod
-
-    changes = gen_changes(8_000, seed=13, n_convs=20)
+    changes = gen_changes(6_000, seed=11, n_convs=20)
     lsn = changes.column("lsn")
-    e1 = changes.filter(pa.compute.less(lsn, 4000))
-    e2 = changes.filter(pa.compute.greater_equal(lsn, 4000))
-
-    lake = LakeTable(str(tmp_path / "lake"), num_partitions=4)
-    lake.apply_changes(e1, epoch_id="e1", num_salts="auto",
-                       transport=transport)
-    ex = lake.manifest.epochs[-1]["meta"]["_exchange"]
-    vols = sorted((int(v) for v in ex["part_rows"].values()), reverse=True)
-    assert len(vols) >= 2 and vols[0] > vols[1]  # a strict hot/cold gap
-    hot = sorted(int(k) for k, v in ex["part_rows"].items()
-                 if int(v) > vols[1])
-
-    monkeypatch.setenv(lake_mod.SALT_THRESHOLD_ENV, str(vols[1]))
-    r2 = lake.apply_changes(e2, epoch_id="e2", num_salts="auto",
-                            transport=transport)
-    assert r2["num_salts"] == lake_mod.AUTO_NUM_SALTS
-    assert r2["salted_parts"] == hot          # only the hot partition(s)
-    assert len(r2["salted_parts"]) < r2["partitions_touched"]  # mixed epoch
-    _assert_tables_equal(lake.final_table(), naive_apply(changes), cols=PAYLOAD)
+    e1 = changes.filter(pa.compute.less(lsn, 3000))
+    e2 = changes.filter(pa.compute.greater_equal(lsn, 3000))
+    root = str(tmp_path / "lake")
+    LakeTable(root, num_partitions=4).apply_changes(e1, epoch_id="e1")
+    old = {"num_salts": 8, "part_rows": {"0": 900, "2": 40}}
+    paths = [os.path.join(root, "_manifest.json"),
+             *glob.glob(os.path.join(root, "_log", "v*.json"))]
+    for path in paths:
+        with open(path) as f:
+            d = json.load(f)
+        for e in d.get("epochs", []) + ([d["epoch"]] if "epoch" in d else []):
+            e["meta"]["_exchange"].update(old)
+        with open(path, "w") as f:
+            json.dump(d, f)
+    lake = LakeTable(root)
+    assert lake.manifest.epochs[-1]["meta"]["_exchange"]["part_rows"] == \
+        old["part_rows"]
+    lake.apply_changes(e2, epoch_id="e2")
+    _assert_tables_equal(LakeTable(root).final_table(), naive_apply(changes),
+                         cols=PAYLOAD)
 
 
 def test_schema_evolution(ray_session, tmp_path):
@@ -446,3 +426,33 @@ def test_null_key_lsn_or_op_rejected(ray_session, tmp_path, col, transport):
     _assert_tables_equal(fresh.final_table(), naive_apply(base), cols=PAYLOAD)
     assert fresh.lookup(vals[0] if col == "conv_id"
                         else tail.column("conv_id")[0].as_py()).num_rows > 0
+
+
+@pytest.mark.parametrize("transport", ["fs", "object"])
+@pytest.mark.parametrize("bad_op", ["DELETE", "upsert"])
+def test_unknown_op_rejected(ray_session, tmp_path, bad_op, transport):
+    """An op outside insert/update/delete fails the apply loudly and
+    commits nothing, even when its row loses the LWW combine; the oracle
+    rejects it too."""
+    import pyarrow.compute as pc
+
+    base = gen_changes(2_000, seed=11)
+    root = str(tmp_path / "lake")
+    lake = LakeTable(root, num_partitions=4)
+    lake.apply_changes(base, epoch_id="e0")
+    tail = base.slice(0, 3)
+    tail = tail.set_column(tail.schema.get_field_index("lsn"), "lsn",
+                           pc.add(tail.column("lsn"), 10_000))
+    # the bad op's row is the older of two writes to the same key
+    tail = pa.concat_tables([tail, tail.slice(0, 1).set_column(
+        tail.schema.get_field_index("lsn"), "lsn",
+        pc.add(tail.slice(0, 1).column("lsn"), 1))])
+    tail = tail.set_column(tail.schema.get_field_index("op"), "op",
+                           pa.array([bad_op, "update", "update", "update"]))
+    with pytest.raises(ValueError, match=bad_op):
+        naive_apply(tail)
+    with pytest.raises(ValueError, match=bad_op):
+        lake.apply_changes(tail, epoch_id="e1", transport=transport)
+    fresh = LakeTable(root)
+    assert "e1" not in fresh.manifest.committed_epoch_ids()
+    _assert_tables_equal(fresh.final_table(), naive_apply(base), cols=PAYLOAD)

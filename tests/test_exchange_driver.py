@@ -52,7 +52,7 @@ def test_files_within_batch_size_combine_once(ray_session, tmp_path,
     reg.evolve(pa.schema([f for f in changes.schema
                           if f.name not in META_COLS]))
     P = 8
-    combine = _NormalizeCombine(reg.to_json(), P, 1, None)
+    combine = _NormalizeCombine(reg.to_json(), P)
     ex = Exchange("t_combine", transport)
     _, _, rows = ex.run(ray.data.read_parquet(src), _bucket_of, P, "cdc",
                         transform=combine, batch_size=262_144)

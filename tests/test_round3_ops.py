@@ -617,11 +617,10 @@ def test_lake_apply_object_transport(ray_session, tmp_path):
     # idempotent replay on the object path
     assert ob.apply_changes(second, epoch_id="e2",
                             transport="object")["skipped"] is True
-    # salted mode runs on the object path too
-    salted = LakeTable(str(tmp_path / "obs"), num_partitions=8)
-    salted.apply_changes(changes, epoch_id="e1", transport="object",
-                         num_salts=4)
-    got = salted.final_table()
+    # the whole log as one epoch on the object path
+    whole = LakeTable(str(tmp_path / "obs"), num_partitions=8)
+    whole.apply_changes(changes, epoch_id="e1", transport="object")
+    got = whole.final_table()
     assert got.to_pandas().equals(
         naive_apply(changes).select(got.column_names).to_pandas())
     # no staging directory was ever created on the object path
